@@ -1,6 +1,6 @@
 # Canonical targets; `make check` is the tier-1 gate CI and reviewers run.
 
-.PHONY: check build test bench bench-wire bench-spec bench-overload bench-engine chaos-smoke spec-smoke overload-smoke engine-smoke scenario-smoke trace-smoke federation-smoke stress
+.PHONY: check build test bench bench-wire bench-spec bench-overload bench-engine chaos-smoke spec-smoke overload-smoke engine-smoke scenario-smoke trace-smoke federation-smoke fuzz-smoke stress
 
 check:
 	./scripts/check.sh
@@ -16,6 +16,8 @@ bench:
 
 # Wire-protocol hot path: microbenchmarks (ns/op, B/op, allocs/op) plus
 # the end-to-end loopback throughput run recorded in BENCH_wire.json.
+# The bench-* targets are the only ones that write BENCH_*.json; the
+# smoke gates below write their reports to a temporary directory.
 bench-wire:
 	go test -run '^$$' -bench 'BenchmarkWire' -benchmem ./internal/wire
 	go run ./cmd/continuum-bench -wire -wire-out BENCH_wire.json
@@ -56,14 +58,16 @@ spec-smoke:
 # admission-on goodput >= admission-off (also part of `make check`).
 overload-smoke:
 	go test -race -count=1 -run 'TestE2EOverloadGracefulDegradation' .
-	go run ./cmd/continuum-bench -overload -overload-gate -overload-dur 1s -overload-out BENCH_overload.json
+	out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && \
+		go run ./cmd/continuum-bench -overload -overload-gate -overload-dur 1s -overload-out "$$out/BENCH_overload.json"
 
 # Engine smoke: trimmed kernel benchmark under the regression gate — the
 # calendar must hold the events/sec floor, stay allocation-free in steady
 # state, beat the heap reference, and the sharded-parallel group must be
 # deterministic (also part of `make check`).
 engine-smoke:
-	go run ./cmd/continuum-bench -engine -engine-quick -engine-gate -engine-out BENCH_engine.json
+	out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && \
+		go run ./cmd/continuum-bench -engine -engine-quick -engine-gate -engine-out "$$out/BENCH_engine.json"
 
 # Scenario smoke: validate the shipped scenario library, then run one
 # scenario on both backends — simulator and live in-process fleet — under
@@ -88,6 +92,12 @@ trace-smoke:
 federation-smoke:
 	go test -race -count=1 -run 'TestE2EFederationChurnNoRequestLost' .
 	go test -race -count=1 -run 'TestLiveRouterChurnZeroLost' ./internal/scenario
+
+# Fuzz smoke: ten seconds of coverage-guided fuzzing of the wire frame
+# decoder on top of its committed seed corpus — decode must never panic
+# and must round-trip whatever it accepts (also part of `make check`).
+fuzz-smoke:
+	go test -run '^$$' -fuzz 'FuzzDecodeFrame' -fuzztime 10s ./internal/wire
 
 # Scale harness: generate a 1000-node scenario, validate it, and run it
 # through the simulator inside a generous CI-safe wall-clock budget.

@@ -1,11 +1,10 @@
 package main
 
 // The -wire mode measures end-to-end wire-protocol throughput over real
-// loopback TCP: the serial JSON round trip every peer spoke before
-// multiplexing, then the same calls pipelined at high concurrency over
-// ONE multiplexed connection, in both codecs. The JSON report lands in
-// BENCH_wire.json so the numbers ride along with the code that earned
-// them.
+// loopback TCP: serial round trips, one call in flight at a time, then
+// the same calls pipelined at high concurrency over ONE multiplexed
+// connection. The JSON report lands in BENCH_wire.json, stamped with
+// the commit, toolchain and host parallelism that produced it.
 
 import (
 	"bytes"
@@ -13,7 +12,10 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"os/exec"
 	"runtime"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"time"
 
@@ -24,30 +26,60 @@ import (
 type wireResult struct {
 	Name        string  `json:"name"`
 	Concurrency int     `json:"concurrency"`
-	Codec       string  `json:"codec"`
 	Calls       int     `json:"calls"`
 	Seconds     float64 `json:"seconds"`
 	OpsPerSec   float64 `json:"ops_per_sec"`
 }
 
 type wireReport struct {
+	Commit       string       `json:"commit"`
+	GoVersion    string       `json:"go_version"`
 	GOOS         string       `json:"goos"`
 	GOARCH       string       `json:"goarch"`
 	CPUs         int          `json:"cpus"`
+	GOMAXPROCS   int          `json:"gomaxprocs"`
 	PayloadBytes int          `json:"payload_bytes"`
 	Results      []wireResult `json:"results"`
 
-	// SpeedupParallelOverSerial compares the multiplexed binary path at
-	// full concurrency against the old one-call-at-a-time JSON protocol.
-	SpeedupParallelOverSerial float64 `json:"speedup_parallel_over_serial"`
-	// SpeedupSameCodec isolates multiplexing itself: parallel binary
-	// against serial binary.
+	// SpeedupSameCodec isolates multiplexing: the pipelined run against
+	// the serial one, both over the same binary frames.
 	SpeedupSameCodec float64 `json:"speedup_parallel_over_serial_same_codec"`
 
-	// Frame sizes for one 64 KiB invoke request in each codec: the
-	// binary codec's base64-free framing.
-	FrameBytes64KJSON   int `json:"frame_bytes_64k_json"`
-	FrameBytes64KBinary int `json:"frame_bytes_64k_binary"`
+	// FrameBytes64K is the wire size of one 64 KiB invoke request:
+	// payload bytes ride raw, so the overhead is the header and fields.
+	FrameBytes64K int `json:"frame_bytes_64k"`
+}
+
+// commitStamp names the source the benchmark ran from: the VCS
+// revision stamped into the binary, else the checkout's HEAD, with
+// "-dirty" when the tree has uncommitted changes.
+func commitStamp() string {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		rev, dirty := "", false
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				rev = s.Value
+			case "vcs.modified":
+				dirty = s.Value == "true"
+			}
+		}
+		if rev != "" {
+			if dirty {
+				rev += "-dirty"
+			}
+			return rev
+		}
+	}
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	rev := strings.TrimSpace(string(out))
+	if st, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(st) > 0 {
+		rev += "-dirty"
+	}
+	return rev
 }
 
 // runWireBench measures calls/sec for each scenario and writes the JSON
@@ -72,49 +104,42 @@ func runWireBench(calls, payload, concurrency int, out string) error {
 
 	body := bytes.Repeat([]byte{'x'}, payload)
 	rep := &wireReport{
-		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, CPUs: runtime.NumCPU(),
+		Commit: commitStamp(), GoVersion: runtime.Version(),
+		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
+		CPUs: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
 		PayloadBytes: payload,
 	}
 	scenarios := []struct {
 		name        string
-		codec       string
 		concurrency int
 	}{
-		{"serial-json", "json", 1},
-		{"serial-binary", "bin", 1},
-		{fmt.Sprintf("parallel%d-json", concurrency), "json", concurrency},
-		{fmt.Sprintf("parallel%d-binary", concurrency), "bin", concurrency},
+		{"serial-binary", 1},
+		{fmt.Sprintf("parallel%d-binary", concurrency), concurrency},
 	}
 	for _, sc := range scenarios {
-		secs, err := wireScenario(addr, body, calls, sc.concurrency, sc.codec == "json")
+		secs, err := wireScenario(addr, body, calls, sc.concurrency)
 		if err != nil {
 			return fmt.Errorf("%s: %w", sc.name, err)
 		}
 		rep.Results = append(rep.Results, wireResult{
-			Name: sc.name, Concurrency: sc.concurrency, Codec: sc.codec,
+			Name: sc.name, Concurrency: sc.concurrency,
 			Calls: calls, Seconds: secs, OpsPerSec: float64(calls) / secs,
 		})
 		fmt.Printf("%-18s %8.0f ops/sec  (%d calls in %.2fs)\n",
 			sc.name, float64(calls)/secs, calls, secs)
 	}
-	rep.SpeedupParallelOverSerial = rep.Results[3].OpsPerSec / rep.Results[0].OpsPerSec
-	rep.SpeedupSameCodec = rep.Results[3].OpsPerSec / rep.Results[1].OpsPerSec
+	rep.SpeedupSameCodec = rep.Results[1].OpsPerSec / rep.Results[0].OpsPerSec
 
 	big := &wire.Request{Op: wire.OpInvoke, ID: "size-probe", Fn: "echo",
 		Payload: bytes.Repeat([]byte{0xAB}, 64<<10)}
-	var js, bin bytes.Buffer
-	if err := wire.WriteFrameCodec(&js, big, wire.CodecJSON); err != nil {
+	var frame bytes.Buffer
+	if err := wire.WriteFrame(&frame, big); err != nil {
 		return err
 	}
-	if err := wire.WriteFrameCodec(&bin, big, wire.CodecBinary); err != nil {
-		return err
-	}
-	rep.FrameBytes64KJSON, rep.FrameBytes64KBinary = js.Len(), bin.Len()
+	rep.FrameBytes64K = frame.Len()
 
-	fmt.Printf("speedup parallel-binary over serial-json: %.1fx (same codec: %.1fx)\n",
-		rep.SpeedupParallelOverSerial, rep.SpeedupSameCodec)
-	fmt.Printf("64KiB invoke frame: %d B json, %d B binary\n",
-		rep.FrameBytes64KJSON, rep.FrameBytes64KBinary)
+	fmt.Printf("speedup parallel over serial: %.1fx\n", rep.SpeedupSameCodec)
+	fmt.Printf("64KiB invoke frame: %d B\n", rep.FrameBytes64K)
 
 	blob, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -129,17 +154,13 @@ func runWireBench(calls, payload, concurrency int, out string) error {
 
 // wireScenario runs `calls` echo invokes split across `concurrency`
 // goroutines sharing one multiplexed client, returning wall-clock
-// seconds. A short warmup primes warm containers and, unless pinned to
-// JSON, the binary codec upgrade.
-func wireScenario(addr string, payload []byte, calls, concurrency int, forceJSON bool) (float64, error) {
+// seconds. A short warmup primes warm containers.
+func wireScenario(addr string, payload []byte, calls, concurrency int) (float64, error) {
 	c, err := wire.Dial(addr)
 	if err != nil {
 		return 0, err
 	}
 	defer c.Close()
-	if forceJSON {
-		c.ForceJSON()
-	}
 	for i := 0; i < 2*concurrency; i++ {
 		if _, err := c.Invoke("echo", payload); err != nil {
 			return 0, err

@@ -34,8 +34,8 @@ import (
 
 // Priority is a request's importance class for admission control and
 // load shedding. The zero value is PriorityNormal, so unprioritized
-// callers (and legacy wire peers that predate the field) land in the
-// middle class rather than the one shed first.
+// callers (and wire requests that carry no priority) land in the middle
+// class rather than the one shed first.
 type Priority int
 
 // The three priority classes. Under overload, lower classes are shed

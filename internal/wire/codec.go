@@ -1,53 +1,38 @@
 package wire
 
 // Frame codec: every frame on the wire is a 4-byte big-endian length
-// followed by a body in one of two encodings, distinguished by the
-// body's first byte:
+// followed by a binary body. The protocol has one dialect; its version
+// is the body's first byte, so there is no handshake:
 //
-//	'{'      JSON — the original encoding, understood by every peer.
-//	0xC5     binary — an opt-in encoding that carries Payload/Batch
-//	         bytes raw instead of base64 inside JSON, and every hot
-//	         field without reflection.
-//
-// The binary body encodes the common fields natively — JSON never runs
-// on the invoke hot path:
-//
-//	[0]      0xC5 magic
+//	[0]      protocol version (protoVersion). A decoder rejects any
+//	         other value, and an empty body, with ErrVersion; the
+//	         server then drops the connection.
 //	[1]      kind: 0x01 request, 0x02 response
-//	Request  str Op, str ID, str Accept, str Fn, blob Payload, batch,
-//	         then — only when the request is traced, carries a
-//	         non-normal priority, or carries a federation member body —
-//	         str TraceID, str SpanID, then — only when the priority is
-//	         non-normal or a member body follows — varint Priority,
-//	         then — only for federation control frames — a uvarint
-//	         length and a JSON-encoded MemberInfo. The trailer is
-//	         backward compatible both ways: decoders predating it
-//	         discard trailing request bytes, and new decoders treat an
-//	         exhausted buffer as untraced / normal priority / no member.
-//	Response [2] flags (bit0 OK, bit1 Retryable, bit2 extension),
-//	         str ID, str Codec, str Error, blob Payload, batch,
-//	         then — only when the extension bit is set — a uvarint
-//	         length and a JSON object carrying the rare
-//	         list/stats/top/spans/retry-after/federation fields.
+//	[2]      flags
+//	Request  flags: bit0 trace, bit1 priority, bit2 member.
+//	         str Op, str ID, str Fn, blob Payload, batch, then
+//	         str TraceID, str SpanID   when bit0 is set,
+//	         varint Priority           when bit1 is set,
+//	         str JSON(MemberInfo)      when bit2 is set.
+//	Response flags: bit0 OK, bit1 Retryable, bit2 extension.
+//	         str ID, str Error, blob Payload, batch, then
+//	         str JSON(extension)       when bit2 is set, carrying the
+//	         rare list/stats/top/spans/retry-after/federation fields.
 //
 // where str is uvarint length + bytes, blob is the same but with
 // uvarint 0 meaning nil and length+1 otherwise (nil and empty payloads
 // survive a round trip distinctly), and batch is uvarint 0 = nil or
-// count+1 followed by one blob per item. A protocol field added later
-// must be added here too; the codec round-trip test's all-fields guard
-// fails until it is.
-//
-// Negotiation is in-band and backward compatible: a client advertises
-// support with Request.Accept = AcceptBinary (an optional JSON field old
-// servers ignore); a server that understands it replies in binary with
-// Response.Codec set, and the client upgrades the connection from then
-// on. A peer that never advertises — or never acks — keeps speaking
-// JSON, so mixed-version federations interoperate frame by frame.
+// count+1 followed by one blob per item. An untraced, normal-priority
+// invoke sets no flag and carries no optional bytes. A body must end
+// exactly where its last field ends: unknown flag bits and trailing
+// bytes are errors. A protocol field added later must be added here
+// too; the codec round-trip test's all-fields guard fails until it is.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -55,34 +40,20 @@ import (
 	"continuum/internal/trace"
 )
 
-// Codec identifies a frame body encoding.
-type Codec uint8
+// protoVersion is byte 0 of every frame body. It changes whenever the
+// layout does; there is no negotiation, so both ends must agree.
+const protoVersion = 3
 
-// Frame body encodings.
-const (
-	CodecJSON Codec = iota
-	CodecBinary
-)
+// ErrVersion is returned for a frame body that is empty or does not
+// start with this build's protocol version.
+var ErrVersion = errors.New("wire: unsupported protocol version")
 
-// String returns the codec name as used in negotiation fields.
-func (c Codec) String() string {
-	if c == CodecBinary {
-		return codecBinaryName
-	}
-	return "json"
+// Frame is one protocol message: *Request or *Response, the only types
+// WriteFrame and ReadFrame carry.
+type Frame interface {
+	appendBody(dst []byte) ([]byte, error)
+	decodeBody(body []byte) error
 }
-
-// binMagic starts every binary frame body. It can never begin a JSON
-// body (JSON frames always start with '{'), so the codec is detected
-// per frame with no out-of-band state.
-const binMagic = 0xC5
-
-// AcceptBinary is the Request.Accept value advertising that the sender
-// understands binary response frames.
-const AcceptBinary = "bin"
-
-// codecBinaryName is the Response.Codec value acking binary frames.
-const codecBinaryName = "bin"
 
 // maxPooledBuf caps the capacity of buffers returned to the frame pool,
 // so one oversized frame cannot pin megabytes for the process lifetime.
@@ -107,20 +78,12 @@ func putBuf(bp *[]byte) {
 	framePool.Put(bp)
 }
 
-// WriteFrame writes v as a length-prefixed JSON frame. The header and
-// body are coalesced into a single Write, so a frame is never torn
-// across a write deadline and a small call costs one syscall.
-func WriteFrame(w io.Writer, v any) error {
-	return WriteFrameCodec(w, v, CodecJSON)
-}
-
-// WriteFrameCodec writes v as one length-prefixed frame in the given
-// codec. CodecBinary is only defined for *Request and *Response; other
-// values fall back to JSON. The whole frame (header + body) is issued
-// as a single Write from a pooled buffer.
-func WriteFrameCodec(w io.Writer, v any, codec Codec) error {
+// WriteFrame writes f as one length-prefixed frame. The header and body
+// are coalesced into a single Write from a pooled buffer, so a frame is
+// never torn across a write deadline and a small call costs one syscall.
+func WriteFrame(w io.Writer, f Frame) error {
 	bp := getBuf()
-	frame, err := appendFrame((*bp)[:0], v, codec)
+	frame, err := appendFrame((*bp)[:0], f)
 	if err == nil {
 		_, err = w.Write(frame)
 	}
@@ -130,31 +93,12 @@ func WriteFrameCodec(w io.Writer, v any, codec Codec) error {
 }
 
 // appendFrame appends one complete frame — length prefix and encoded
-// body — to dst. This is the shared encode path: WriteFrameCodec issues
-// the result as one Write, and groupWriter queues it for a batched one.
-func appendFrame(dst []byte, v any, codec Codec) ([]byte, error) {
-	if codec == CodecBinary {
-		// The binary framing is only defined for the two frame types;
-		// anything else falls back to JSON, which readers auto-detect.
-		switch v.(type) {
-		case *Request, *Response:
-		default:
-			codec = CodecJSON
-		}
-	}
+// body — to dst. This is the shared encode path: WriteFrame issues the
+// result as one Write, and groupWriter queues it for a batched one.
+func appendFrame(dst []byte, f Frame) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length prefix placeholder
-	var err error
-	if codec == CodecBinary {
-		dst, err = appendBinary(dst, v)
-	} else {
-		var body []byte
-		body, err = json.Marshal(v)
-		if err != nil {
-			err = fmt.Errorf("wire: marshal: %w", err)
-		}
-		dst = append(dst, body...)
-	}
+	dst, err := f.appendBody(dst)
 	if err != nil {
 		return dst[:start], err
 	}
@@ -166,34 +110,20 @@ func appendFrame(dst []byte, v any, codec Codec) ([]byte, error) {
 	return dst, nil
 }
 
-// ReadFrame reads one frame into v, auto-detecting the body codec.
-func ReadFrame(r io.Reader, v any) error {
-	_, err := ReadFrameCodec(r, v)
-	return err
-}
-
-// ReadFrameCodec reads one frame into v and reports which codec the
-// peer used — servers mirror it on the response so a binary-speaking
-// client is answered in kind.
-func ReadFrameCodec(r io.Reader, v any) (Codec, error) {
-	c, _, err := readFrameCodecN(r, v)
-	return c, err
-}
-
-// readFrameCodecN is ReadFrameCodec plus the frame's wire size (header
+// ReadFrame reads one frame into f and returns its wire size (header
 // and body), so per-request byte accounting stays exact when the server
 // reads through a buffered reader.
-func readFrameCodecN(r io.Reader, v any) (Codec, int64, error) {
+func ReadFrame(r io.Reader, f Frame) (int64, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return CodecJSON, 0, err
+		return 0, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > MaxFrame {
-		return CodecJSON, 0, ErrFrameTooLarge
+		return 0, ErrFrameTooLarge
 	}
-	size := int64(4 + n)
 	bp := getBuf()
+	defer putBuf(bp)
 	buf := *bp
 	if cap(buf) < int(n) {
 		buf = make([]byte, n)
@@ -201,36 +131,41 @@ func readFrameCodecN(r io.Reader, v any) (Codec, int64, error) {
 		buf = buf[:n]
 	}
 	*bp = buf
-	defer putBuf(bp)
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return CodecJSON, 0, err
+		return 0, err
 	}
-	if n > 0 && buf[0] == binMagic {
-		return CodecBinary, size, decodeBinary(buf, v)
+	if err := f.decodeBody(buf); err != nil {
+		return 0, err
 	}
-	if err := json.Unmarshal(buf, v); err != nil {
-		return CodecJSON, 0, fmt.Errorf("wire: unmarshal: %w", err)
-	}
-	return CodecJSON, size, nil
+	return int64(4 + n), nil
 }
 
-// Binary body kinds (second byte, after the magic).
+// Frame kinds (byte 1).
 const (
-	binKindRequest  = 0x01
-	binKindResponse = 0x02
+	kindRequest  = 0x01
+	kindResponse = 0x02
+)
+
+// Request flag bits: each optional field is present exactly when its
+// bit is set.
+const (
+	reqFlagTrace    = 1 << 0
+	reqFlagPriority = 1 << 1
+	reqFlagMember   = 1 << 2
+	reqFlagsKnown   = reqFlagTrace | reqFlagPriority | reqFlagMember
 )
 
 // Response flag bits.
 const (
-	binFlagOK        = 1 << 0
-	binFlagRetryable = 1 << 1
-	binFlagExt       = 1 << 2
+	respFlagOK        = 1 << 0
+	respFlagRetryable = 1 << 1
+	respFlagExt       = 1 << 2
+	respFlagsKnown    = respFlagOK | respFlagRetryable | respFlagExt
 )
 
 // respExt carries the rare Response fields (list/stats/top/trace
-// results) as a JSON extension section, keeping struct-heavy encoding
-// off the invoke hot path. Old peers ignore unknown keys, so adding a
-// field here never breaks a mixed-version federation.
+// results, Retry-After, federation) as a JSON extension section,
+// keeping struct-heavy encoding off the invoke hot path.
 type respExt struct {
 	Names        []string        `json:"names,omitempty"`
 	Stats        []EndpointStats `json:"stats,omitempty"`
@@ -242,79 +177,181 @@ type respExt struct {
 	Generation   int64           `json:"generation,omitempty"`
 }
 
-// appendBinary encodes v (a *Request or *Response) onto buf in the
-// binary framing.
-func appendBinary(buf []byte, v any) ([]byte, error) {
-	switch t := v.(type) {
-	case *Request:
-		buf = append(buf, binMagic, binKindRequest)
-		buf = appendStr(buf, string(t.Op))
-		buf = appendStr(buf, t.ID)
-		buf = appendStr(buf, t.Accept)
-		buf = appendStr(buf, t.Fn)
-		buf = appendBlob(buf, t.Payload)
-		buf = appendBatch(buf, t.Batch)
-		// Trace/priority/member trailer: appended only for traced,
-		// non-normal-priority, or federation-control requests, so default
-		// frames are byte-identical to the pre-trailer encoding and legacy
-		// decoders (which discard trailing bytes) interoperate unchanged.
-		// Priority rides after the trace strings — elided when normal
-		// unless a member body follows (the member blob needs every
-		// preceding trailer field present so the decoder's position is
-		// unambiguous) — and the member body last, as a uvarint-length
-		// JSON blob: control frames are rare and tiny, so reflection
-		// there costs nothing the invoke hot path ever sees.
-		if t.TraceID != "" || t.SpanID != "" || t.Priority != 0 || t.Member != nil {
-			buf = appendStr(buf, t.TraceID)
-			buf = appendStr(buf, t.SpanID)
-			if t.Priority != 0 || t.Member != nil {
-				buf = binary.AppendVarint(buf, int64(t.Priority))
-			}
-			if t.Member != nil {
-				mb, err := json.Marshal(t.Member)
-				if err != nil {
-					return buf, fmt.Errorf("wire: marshal member: %w", err)
-				}
-				buf = binary.AppendUvarint(buf, uint64(len(mb)))
-				buf = append(buf, mb...)
-			}
-		}
-		return buf, nil
-	case *Response:
-		var flags byte
-		if t.OK {
-			flags |= binFlagOK
-		}
-		if t.Retryable {
-			flags |= binFlagRetryable
-		}
-		var ext []byte
-		if t.Names != nil || t.Stats != nil || t.Top != nil || t.Spans != nil ||
-			t.RetryAfterMS != 0 || t.Members != nil || t.HeartbeatMS != 0 || t.Generation != 0 {
-			var err error
-			if ext, err = json.Marshal(respExt{t.Names, t.Stats, t.Top, t.Spans, t.RetryAfterMS, t.Members, t.HeartbeatMS, t.Generation}); err != nil {
-				return buf, fmt.Errorf("wire: marshal extension: %w", err)
-			}
-			flags |= binFlagExt
-		}
-		buf = append(buf, binMagic, binKindResponse, flags)
-		buf = appendStr(buf, t.ID)
-		buf = appendStr(buf, t.Codec)
-		buf = appendStr(buf, t.Error)
-		buf = appendBlob(buf, t.Payload)
-		buf = appendBatch(buf, t.Batch)
-		if flags&binFlagExt != 0 {
-			buf = binary.AppendUvarint(buf, uint64(len(ext)))
-			buf = append(buf, ext...)
-		}
-		return buf, nil
-	default:
-		return buf, fmt.Errorf("wire: binary codec unsupported for %T", v)
+func (r *Request) appendBody(buf []byte) ([]byte, error) {
+	var flags byte
+	if r.TraceID != "" || r.SpanID != "" {
+		flags |= reqFlagTrace
 	}
+	if r.Priority != 0 {
+		flags |= reqFlagPriority
+	}
+	// The member body is JSON: control frames are rare and tiny, so
+	// reflection there costs nothing the invoke hot path ever sees.
+	var member []byte
+	if r.Member != nil {
+		var err error
+		if member, err = json.Marshal(r.Member); err != nil {
+			return buf, fmt.Errorf("wire: marshal member: %w", err)
+		}
+		flags |= reqFlagMember
+	}
+	buf = append(buf, protoVersion, kindRequest, flags)
+	buf = appendStr(buf, string(r.Op))
+	buf = appendStr(buf, r.ID)
+	buf = appendStr(buf, r.Fn)
+	buf = appendBlob(buf, r.Payload)
+	buf = appendBatch(buf, r.Batch)
+	if flags&reqFlagTrace != 0 {
+		buf = appendStr(buf, r.TraceID)
+		buf = appendStr(buf, r.SpanID)
+	}
+	if flags&reqFlagPriority != 0 {
+		buf = binary.AppendVarint(buf, int64(r.Priority))
+	}
+	if flags&reqFlagMember != 0 {
+		buf = appendStr(buf, member)
+	}
+	return buf, nil
 }
 
-// appendStr encodes one string as uvarint length + bytes.
-func appendStr(buf []byte, s string) []byte {
+func (r *Request) decodeBody(b []byte) error {
+	flags, b, err := takeHeader(b, kindRequest, reqFlagsKnown)
+	if err != nil {
+		return err
+	}
+	*r = Request{}
+	var op []byte
+	if op, b, err = takeStrBytes(b); err != nil {
+		return err
+	}
+	r.Op = internOp(op)
+	if r.ID, b, err = takeStr(b); err != nil {
+		return err
+	}
+	if r.Fn, b, err = takeStr(b); err != nil {
+		return err
+	}
+	if r.Payload, b, err = takeBlob(b); err != nil {
+		return err
+	}
+	if r.Batch, b, err = takeBatch(b); err != nil {
+		return err
+	}
+	if flags&reqFlagTrace != 0 {
+		if r.TraceID, b, err = takeStr(b); err != nil {
+			return err
+		}
+		if r.SpanID, b, err = takeStr(b); err != nil {
+			return err
+		}
+	}
+	if flags&reqFlagPriority != 0 {
+		p, k := binary.Varint(b)
+		if k <= 0 {
+			return fmt.Errorf("wire: frame: bad priority")
+		}
+		r.Priority = int(p)
+		b = b[k:]
+	}
+	if flags&reqFlagMember != 0 {
+		r.Member = new(MemberInfo)
+		if b, err = takeJSON(b, r.Member); err != nil {
+			return err
+		}
+	}
+	return takeEnd(b)
+}
+
+func (r *Response) appendBody(buf []byte) ([]byte, error) {
+	var flags byte
+	if r.OK {
+		flags |= respFlagOK
+	}
+	if r.Retryable {
+		flags |= respFlagRetryable
+	}
+	var ext []byte
+	if r.Names != nil || r.Stats != nil || r.Top != nil || r.Spans != nil ||
+		r.RetryAfterMS != 0 || r.Members != nil || r.HeartbeatMS != 0 || r.Generation != 0 {
+		var err error
+		if ext, err = json.Marshal(respExt{r.Names, r.Stats, r.Top, r.Spans, r.RetryAfterMS, r.Members, r.HeartbeatMS, r.Generation}); err != nil {
+			return buf, fmt.Errorf("wire: marshal extension: %w", err)
+		}
+		flags |= respFlagExt
+	}
+	buf = append(buf, protoVersion, kindResponse, flags)
+	buf = appendStr(buf, r.ID)
+	buf = appendStr(buf, r.Error)
+	buf = appendBlob(buf, r.Payload)
+	buf = appendBatch(buf, r.Batch)
+	if flags&respFlagExt != 0 {
+		buf = appendStr(buf, ext)
+	}
+	return buf, nil
+}
+
+func (r *Response) decodeBody(b []byte) error {
+	flags, b, err := takeHeader(b, kindResponse, respFlagsKnown)
+	if err != nil {
+		return err
+	}
+	*r = Response{OK: flags&respFlagOK != 0, Retryable: flags&respFlagRetryable != 0}
+	if r.ID, b, err = takeStr(b); err != nil {
+		return err
+	}
+	if r.Error, b, err = takeStr(b); err != nil {
+		return err
+	}
+	if r.Payload, b, err = takeBlob(b); err != nil {
+		return err
+	}
+	if r.Batch, b, err = takeBatch(b); err != nil {
+		return err
+	}
+	if flags&respFlagExt != 0 {
+		var ext respExt
+		if b, err = takeJSON(b, &ext); err != nil {
+			return err
+		}
+		r.Names, r.Stats, r.Top, r.Spans = ext.Names, ext.Stats, ext.Top, ext.Spans
+		r.RetryAfterMS = ext.RetryAfterMS
+		r.Members, r.HeartbeatMS, r.Generation = ext.Members, ext.HeartbeatMS, ext.Generation
+	}
+	return takeEnd(b)
+}
+
+// takeHeader checks the version and kind bytes and returns the flags
+// byte, rejecting bits outside known, and the fields after it.
+func takeHeader(b []byte, kind, known byte) (byte, []byte, error) {
+	if len(b) == 0 {
+		return 0, nil, fmt.Errorf("%w: empty frame body", ErrVersion)
+	}
+	if b[0] != protoVersion {
+		return 0, nil, fmt.Errorf("%w %d (this build speaks %d)", ErrVersion, b[0], protoVersion)
+	}
+	if len(b) < 3 {
+		return 0, nil, io.ErrUnexpectedEOF
+	}
+	if b[1] != kind {
+		return 0, nil, fmt.Errorf("wire: frame kind %#x, want %#x", b[1], kind)
+	}
+	if b[2]&^known != 0 {
+		return 0, nil, fmt.Errorf("wire: frame: unknown flags %#x", b[2]&^known)
+	}
+	return b[2], b[3:], nil
+}
+
+// takeEnd rejects bytes after a body's last field.
+func takeEnd(b []byte) error {
+	if len(b) != 0 {
+		return fmt.Errorf("wire: frame: %d trailing bytes", len(b))
+	}
+	return nil
+}
+
+// appendStr encodes one string (or byte slice, without converting it)
+// as uvarint length + bytes.
+func appendStr[S string | []byte](buf []byte, s S) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
@@ -325,7 +362,7 @@ func appendStr(buf []byte, s string) []byte {
 func takeStrBytes(b []byte) ([]byte, []byte, error) {
 	n, k := binary.Uvarint(b)
 	if k <= 0 {
-		return nil, nil, fmt.Errorf("wire: binary frame: bad string length")
+		return nil, nil, fmt.Errorf("wire: frame: bad string length")
 	}
 	b = b[k:]
 	if uint64(len(b)) < n {
@@ -339,6 +376,18 @@ func takeStrBytes(b []byte) ([]byte, []byte, error) {
 func takeStr(b []byte) (string, []byte, error) {
 	s, rest, err := takeStrBytes(b)
 	return string(s), rest, err
+}
+
+// takeJSON decodes one appendStr section holding a JSON document into v.
+func takeJSON(b []byte, v any) ([]byte, error) {
+	doc, rest, err := takeStrBytes(b)
+	if err != nil {
+		return nil, err
+	}
+	if err := json.Unmarshal(doc, v); err != nil {
+		return nil, fmt.Errorf("wire: unmarshal %T: %w", v, err)
+	}
+	return rest, nil
 }
 
 // appendBatch encodes a batch: uvarint 0 = nil, else count+1 followed
@@ -358,7 +407,7 @@ func appendBatch(buf []byte, batch [][]byte) []byte {
 func takeBatch(b []byte) ([][]byte, []byte, error) {
 	count, k := binary.Uvarint(b)
 	if k <= 0 {
-		return nil, nil, fmt.Errorf("wire: binary frame: bad batch count")
+		return nil, nil, fmt.Errorf("wire: frame: bad batch count")
 	}
 	b = b[k:]
 	if count == 0 {
@@ -395,7 +444,7 @@ func appendBlob(buf, b []byte) []byte {
 func takeBlob(b []byte) (blob, rest []byte, err error) {
 	n, k := binary.Uvarint(b)
 	if k <= 0 {
-		return nil, nil, fmt.Errorf("wire: binary frame: bad blob length")
+		return nil, nil, fmt.Errorf("wire: frame: bad blob length")
 	}
 	b = b[k:]
 	if n == 0 {
@@ -408,167 +457,13 @@ func takeBlob(b []byte) (blob, rest []byte, err error) {
 	return bytes.Clone(b[:n]), b[n:], nil
 }
 
-// decodeBinary parses a binary frame body (magic byte already verified)
-// into v, which must be *Request or *Response.
-func decodeBinary(body []byte, v any) error {
-	b := body[1:]
-	if len(b) == 0 {
-		return io.ErrUnexpectedEOF
-	}
-	kind := b[0]
-	b = b[1:]
-	var err error
-	switch t := v.(type) {
-	case *Request:
-		if kind != binKindRequest {
-			return fmt.Errorf("wire: binary frame: kind %#x is not a request", kind)
-		}
-		var op []byte
-		if op, b, err = takeStrBytes(b); err != nil {
-			return err
-		}
-		t.Op = internOp(op)
-		if t.ID, b, err = takeStr(b); err != nil {
-			return err
-		}
-		var accept []byte
-		if accept, b, err = takeStrBytes(b); err != nil {
-			return err
-		}
-		t.Accept = internAccept(accept)
-		if t.Fn, b, err = takeStr(b); err != nil {
-			return err
-		}
-		if t.Payload, b, err = takeBlob(b); err != nil {
-			return err
-		}
-		if t.Batch, b, err = takeBatch(b); err != nil {
-			return err
-		}
-		// Trace/priority/member trailer, absent on untraced
-		// normal-priority non-control and pre-trailer frames. Each stage
-		// treats an exhausted buffer as "the rest are defaults", so every
-		// historical frame layout decodes correctly.
-		t.TraceID, t.SpanID, t.Priority, t.Member = "", "", 0, nil
-		if len(b) > 0 {
-			if t.TraceID, b, err = takeStr(b); err != nil {
-				return err
-			}
-			if t.SpanID, b, err = takeStr(b); err != nil {
-				return err
-			}
-			if len(b) > 0 {
-				p, k := binary.Varint(b)
-				if k <= 0 {
-					return fmt.Errorf("wire: binary frame: bad priority")
-				}
-				t.Priority = int(p)
-				b = b[k:]
-			}
-			if len(b) > 0 {
-				n, k := binary.Uvarint(b)
-				if k <= 0 {
-					return fmt.Errorf("wire: binary frame: bad member length")
-				}
-				b = b[k:]
-				if uint64(len(b)) < n {
-					return io.ErrUnexpectedEOF
-				}
-				t.Member = new(MemberInfo)
-				if err := json.Unmarshal(b[:n], t.Member); err != nil {
-					return fmt.Errorf("wire: unmarshal member: %w", err)
-				}
-			}
-		}
-		return nil
-	case *Response:
-		if kind != binKindResponse {
-			return fmt.Errorf("wire: binary frame: kind %#x is not a response", kind)
-		}
-		if len(b) == 0 {
-			return io.ErrUnexpectedEOF
-		}
-		flags := b[0]
-		b = b[1:]
-		t.OK = flags&binFlagOK != 0
-		t.Retryable = flags&binFlagRetryable != 0
-		if t.ID, b, err = takeStr(b); err != nil {
-			return err
-		}
-		var codec []byte
-		if codec, b, err = takeStrBytes(b); err != nil {
-			return err
-		}
-		t.Codec = internAccept(codec)
-		if t.Error, b, err = takeStr(b); err != nil {
-			return err
-		}
-		if t.Payload, b, err = takeBlob(b); err != nil {
-			return err
-		}
-		if t.Batch, b, err = takeBatch(b); err != nil {
-			return err
-		}
-		t.Names, t.Stats, t.Top, t.Spans, t.RetryAfterMS = nil, nil, nil, nil, 0
-		t.Members, t.HeartbeatMS, t.Generation = nil, 0, 0
-		if flags&binFlagExt != 0 {
-			n, k := binary.Uvarint(b)
-			if k <= 0 {
-				return fmt.Errorf("wire: binary frame: bad extension length")
-			}
-			b = b[k:]
-			if uint64(len(b)) < n {
-				return io.ErrUnexpectedEOF
-			}
-			var ext respExt
-			if err := json.Unmarshal(b[:n], &ext); err != nil {
-				return fmt.Errorf("wire: unmarshal extension: %w", err)
-			}
-			t.Names, t.Stats, t.Top, t.Spans = ext.Names, ext.Stats, ext.Top, ext.Spans
-			t.RetryAfterMS = ext.RetryAfterMS
-			t.Members, t.HeartbeatMS, t.Generation = ext.Members, ext.HeartbeatMS, ext.Generation
-		}
-		return nil
-	default:
-		return fmt.Errorf("wire: binary codec unsupported for %T", v)
-	}
-}
-
 // internOp maps the protocol's known ops back to their constants so
 // decoding a request allocates no string for the op field.
 func internOp(s []byte) Op {
-	switch string(s) { // compiled without allocating
-	case string(OpInvoke):
-		return OpInvoke
-	case string(OpBatch):
-		return OpBatch
-	case string(OpPing):
-		return OpPing
-	case string(OpList):
-		return OpList
-	case string(OpStats):
-		return OpStats
-	case string(OpTop):
-		return OpTop
-	case string(OpTrace):
-		return OpTrace
-	case string(OpRegister):
-		return OpRegister
-	case string(OpHeartbeat):
-		return OpHeartbeat
-	case string(OpDeregister):
-		return OpDeregister
-	case string(OpEndpoints):
-		return OpEndpoints
+	for _, op := range knownOps {
+		if string(s) == string(op) { // compiled without allocating
+			return op
+		}
 	}
 	return Op(s)
-}
-
-// internAccept interns the one defined codec name ("" and "bin" cover
-// every well-formed peer).
-func internAccept(s []byte) string {
-	if string(s) == AcceptBinary {
-		return AcceptBinary
-	}
-	return string(s)
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -15,7 +16,6 @@ func fullRequest() *Request {
 	return &Request{
 		Op:      OpInvoke,
 		ID:      "req-1",
-		Accept:  AcceptBinary,
 		Fn:      "echo",
 		Payload: []byte{0x00, 0xC5, '{', 0xFF}, // bytes that would confuse sniffing if mishandled
 		Batch:   [][]byte{{1}, {}, {2, 3}},
@@ -38,7 +38,6 @@ func fullResponse() *Response {
 	return &Response{
 		OK:           true,
 		ID:           "req-1",
-		Codec:        codecBinaryName,
 		Error:        "partial failure",
 		Retryable:    true,
 		RetryAfterMS: 40,
@@ -74,7 +73,7 @@ func fullResponse() *Response {
 
 // requireAllFieldsSet fails if any field of v is its zero value — the
 // guard that makes the round-trip test prove EVERY protocol field
-// survives both codecs, including fields added after this test was
+// survives the codec, including fields added after this test was
 // written (adding a field without extending the fixtures fails here).
 func requireAllFieldsSet(t *testing.T, v any) {
 	t.Helper()
@@ -87,48 +86,40 @@ func requireAllFieldsSet(t *testing.T, v any) {
 	}
 }
 
-// TestCodecRoundTripAllFields proves both codecs round-trip every
+// TestCodecRoundTripAllFields proves the binary codec round-trips every
 // Request and Response field bit for bit.
 func TestCodecRoundTripAllFields(t *testing.T) {
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		t.Run(codec.String(), func(t *testing.T) {
-			req := fullRequest()
-			requireAllFieldsSet(t, req)
-			var buf bytes.Buffer
-			if err := WriteFrameCodec(&buf, req, codec); err != nil {
-				t.Fatal(err)
+	t.Run("bin", func(t *testing.T) {
+		for _, in := range []Frame{fullRequest(), fullResponse()} {
+			requireAllFieldsSet(t, in)
+			if got := roundTrip(t, in); !reflect.DeepEqual(in, got) {
+				t.Fatalf("%T round trip mismatch:\nin:  %+v\nout: %+v", in, in, got)
 			}
-			gotReq := new(Request)
-			gotCodec, err := ReadFrameCodec(&buf, gotReq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotCodec != codec {
-				t.Fatalf("detected codec %v, wrote %v", gotCodec, codec)
-			}
-			if !reflect.DeepEqual(req, gotReq) {
-				t.Fatalf("request round trip mismatch:\nin:  %+v\nout: %+v", req, gotReq)
-			}
+		}
+	})
+}
 
-			resp := fullResponse()
-			requireAllFieldsSet(t, resp)
-			buf.Reset()
-			if err := WriteFrameCodec(&buf, resp, codec); err != nil {
-				t.Fatal(err)
-			}
-			gotResp := new(Response)
-			if _, err := ReadFrameCodec(&buf, gotResp); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(resp, gotResp) {
-				t.Fatalf("response round trip mismatch:\nin:  %+v\nout: %+v", resp, gotResp)
-			}
-		})
+// roundTrip writes f as one frame and reads it back into a fresh value
+// of the same type.
+func roundTrip(t *testing.T, f Frame) Frame {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, f); err != nil {
+		t.Fatal(err)
 	}
+	out := reflect.New(reflect.TypeOf(f).Elem()).Interface().(Frame)
+	n, err := ReadFrame(&buf, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != 0 || n == 0 {
+		t.Fatalf("ReadFrame consumed %d B and left %d B", n, buf.Len())
+	}
+	return out
 }
 
 // TestBinaryCodecPreservesNilVsEmpty: the blob sections distinguish a
-// nil payload/batch from an empty one, which JSON-with-omitempty cannot.
+// nil payload/batch from an empty one.
 func TestBinaryCodecPreservesNilVsEmpty(t *testing.T) {
 	cases := []Request{
 		{Op: OpInvoke, ID: "a", Payload: nil, Batch: nil},
@@ -136,37 +127,9 @@ func TestBinaryCodecPreservesNilVsEmpty(t *testing.T) {
 		{Op: OpInvoke, ID: "c", Payload: []byte{}, Batch: [][]byte{nil, {}}},
 	}
 	for _, in := range cases {
-		var buf bytes.Buffer
-		if err := WriteFrameCodec(&buf, &in, CodecBinary); err != nil {
-			t.Fatal(err)
+		if out := roundTrip(t, &in); !reflect.DeepEqual(&in, out) {
+			t.Fatalf("nil/empty not preserved:\nin:  %#v\nout: %#v", in, out)
 		}
-		out := new(Request)
-		if _, err := ReadFrameCodec(&buf, out); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(&in, out) {
-			t.Fatalf("nil/empty not preserved:\nin:  %#v\nout: %#v", in, *out)
-		}
-	}
-}
-
-// TestBinaryCodecSmallerForLargePayloads is the point of the codec: raw
-// payload bytes instead of base64-in-JSON.
-func TestBinaryCodecSmallerForLargePayloads(t *testing.T) {
-	req := &Request{Op: OpInvoke, ID: "big", Fn: "echo", Payload: bytes.Repeat([]byte{0xAB}, 64<<10)}
-	var js, bin bytes.Buffer
-	if err := WriteFrameCodec(&js, req, CodecJSON); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrameCodec(&bin, req, CodecBinary); err != nil {
-		t.Fatal(err)
-	}
-	if bin.Len() >= js.Len() {
-		t.Fatalf("binary frame %d B not smaller than JSON frame %d B", bin.Len(), js.Len())
-	}
-	// Base64 inflates 64 KiB to ~85 KiB; binary should be within ~1% of raw.
-	if bin.Len() > 65<<10 {
-		t.Fatalf("binary frame %d B for a 64 KiB payload", bin.Len())
 	}
 }
 
@@ -185,122 +148,103 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 // so a frame is never torn across a deadline and a small call costs one
 // syscall.
 func TestWriteFrameSingleWrite(t *testing.T) {
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		var w countingWriter
-		if err := WriteFrameCodec(&w, fullRequest(), codec); err != nil {
-			t.Fatal(err)
-		}
-		if w.writes != 1 {
-			t.Fatalf("%v frame issued %d writes, want 1", codec, w.writes)
-		}
-		// And the coalesced frame must still parse.
-		out := new(Request)
-		if _, err := ReadFrameCodec(&w.Buffer, out); err != nil {
-			t.Fatal(err)
-		}
+	var w countingWriter
+	if err := WriteFrame(&w, fullRequest()); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes != 1 {
+		t.Fatalf("frame issued %d writes, want 1", w.writes)
+	}
+	// And the coalesced frame must still parse.
+	if _, err := ReadFrame(&w.Buffer, new(Request)); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestBinaryFallsBackToJSONForOtherTypes: CodecBinary is only defined
-// for *Request/*Response; any other value must go out as a JSON frame
-// (which readers auto-detect) rather than erroring.
-func TestBinaryFallsBackToJSONForOtherTypes(t *testing.T) {
-	var buf bytes.Buffer
-	in := map[string]string{"k": "v"}
-	if err := WriteFrameCodec(&buf, in, CodecBinary); err != nil {
-		t.Fatalf("non-frame type under CodecBinary: %v", err)
-	}
-	out := map[string]string{}
-	if codec, err := ReadFrameCodec(&buf, &out); err != nil || codec != CodecJSON {
-		t.Fatalf("read back codec=%v err=%v, want JSON fallback", codec, err)
-	}
-	if out["k"] != "v" {
-		t.Fatalf("round trip = %v", out)
-	}
-}
-
-// TestBinaryFrameTooLarge: the size cap applies to binary frames too.
+// TestBinaryFrameTooLarge: the size cap applies on encode.
 func TestBinaryFrameTooLarge(t *testing.T) {
 	req := &Request{Op: OpInvoke, Payload: make([]byte, MaxFrame+1)}
 	var buf bytes.Buffer
-	if err := WriteFrameCodec(&buf, req, CodecBinary); err != ErrFrameTooLarge {
+	if err := WriteFrame(&buf, req); err != ErrFrameTooLarge {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
-// TestBinaryDecodeTruncated: a truncated binary body errors instead of
-// panicking or fabricating fields — with THREE deliberate exceptions,
-// one per historical frame layout: a cut landing exactly on the end of
-// the pre-trailer schema is indistinguishable from a frame a legacy
-// encoder wrote (decodes as the same request, untraced and normal
-// priority), a cut on the end of the trace strings is indistinguishable
-// from a pre-priority traced frame (decodes traced, normal priority),
-// and a cut on the end of the priority varint is indistinguishable from
-// a pre-federation frame (decodes with no member). Those ambiguities
-// are what make the trailer backward compatible across all three
-// protocol additions.
-func TestBinaryDecodeTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrameCodec(&buf, fullRequest(), CodecBinary); err != nil {
+// frameBytes encodes f as one complete frame.
+func frameBytes(t testing.TB, f Frame) []byte {
+	t.Helper()
+	b, err := appendFrame(nil, f)
+	if err != nil {
 		t.Fatal(err)
 	}
-	whole := buf.Bytes()
-	frameLen := func(req *Request) int {
-		var b bytes.Buffer
-		if err := WriteFrameCodec(&b, req, CodecBinary); err != nil {
-			t.Fatal(err)
-		}
-		return b.Len()
-	}
-	// The legacy frame boundary: everything up to (not including) the
-	// trace/priority/member trailer.
-	legacy := fullRequest()
-	legacy.TraceID, legacy.SpanID, legacy.Priority, legacy.Member = "", "", 0, nil
-	legacyBoundary := frameLen(legacy)
-	// The pre-priority boundary: trace strings present, priority and
-	// member absent.
-	traced := fullRequest()
-	traced.Priority, traced.Member = 0, nil
-	tracedBoundary := frameLen(traced)
-	// The pre-federation boundary: trace strings and priority present,
-	// member absent.
-	preMember := fullRequest()
-	preMember.Member = nil
-	preMemberBoundary := frameLen(preMember)
+	return b
+}
 
-	for cut := 5; cut < len(whole); cut++ {
-		// Rewrite the length prefix to match the truncated body, so the
-		// decoder's own bounds checks are exercised, not just short reads.
-		trunc := append([]byte(nil), whole[:cut]...)
-		binary.BigEndian.PutUint32(trunc[:4], uint32(cut-4))
-		out := new(Request)
-		err := ReadFrame(bytes.NewReader(trunc), out)
-		switch cut {
-		case legacyBoundary:
-			if err != nil {
-				t.Fatalf("cut at the legacy boundary (%d) must decode as an untraced frame, got %v", cut, err)
+// withBody frames body under a matching length prefix.
+func withBody(body []byte) []byte {
+	return binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+}
+
+// TestBinaryDecodeTruncated: every optional field is announced by a
+// flag bit, so a body cut anywhere short of its end is an error — never
+// a panic, and never a silently shorter request.
+func TestBinaryDecodeTruncated(t *testing.T) {
+	for _, in := range []Frame{fullRequest(), fullResponse()} {
+		whole := frameBytes(t, in)
+		for cut := 4; cut < len(whole); cut++ {
+			// Rewrite the length prefix to match the truncated body, so the
+			// decoder's own bounds checks are exercised, not just short reads.
+			trunc := append(withBody(whole[4:cut]), whole[4:cut]...)
+			out := reflect.New(reflect.TypeOf(in).Elem()).Interface().(Frame)
+			if _, err := ReadFrame(bytes.NewReader(trunc), out); err == nil {
+				t.Fatalf("%T body cut at %d/%d accepted", in, cut-4, len(whole)-4)
 			}
-			if !reflect.DeepEqual(out, legacy) {
-				t.Fatalf("legacy-boundary decode:\nin:  %+v\nout: %+v", legacy, out)
+		}
+	}
+}
+
+// TestDecodeRejectsWrongVersion: an empty body, a body from another
+// protocol version, and an old-dialect JSON body all fail with
+// ErrVersion before any field is read.
+func TestDecodeRejectsWrongVersion(t *testing.T) {
+	good := frameBytes(t, fullRequest())[4:]
+	bodies := map[string][]byte{
+		"empty":   {},
+		"json":    []byte(`{"op":"ping","id":"x"}`),
+		"v2":      append([]byte{0xC5}, good[1:]...),
+		"next":    append([]byte{protoVersion + 1}, good[1:]...),
+		"zero":    {0},
+		"version": {protoVersion}, // right version, nothing after it
+	}
+	for name, body := range bodies {
+		for _, f := range []Frame{new(Request), new(Response)} {
+			_, err := ReadFrame(bytes.NewReader(append(withBody(body), body...)), f)
+			if name == "version" {
+				if err == nil {
+					t.Fatalf("%s body into %T accepted", name, f)
+				}
+				continue
 			}
-		case tracedBoundary:
-			if err != nil {
-				t.Fatalf("cut at the pre-priority boundary (%d) must decode as a traced normal-priority frame, got %v", cut, err)
+			if !errors.Is(err, ErrVersion) {
+				t.Fatalf("%s body into %T: err = %v, want ErrVersion", name, f, err)
 			}
-			if !reflect.DeepEqual(out, traced) {
-				t.Fatalf("pre-priority-boundary decode:\nin:  %+v\nout: %+v", traced, out)
-			}
-		case preMemberBoundary:
-			if err != nil {
-				t.Fatalf("cut at the pre-federation boundary (%d) must decode as a member-less frame, got %v", cut, err)
-			}
-			if !reflect.DeepEqual(out, preMember) {
-				t.Fatalf("pre-federation-boundary decode:\nin:  %+v\nout: %+v", preMember, out)
-			}
-		default:
-			if err == nil {
-				t.Fatalf("truncated binary frame (cut at %d/%d, boundaries %d/%d/%d) accepted",
-					cut, len(whole), legacyBoundary, tracedBoundary, preMemberBoundary)
+		}
+	}
+}
+
+// TestDecodeRejectsUnknownFlagsAndTrailingBytes: the flags byte is the
+// whole description of a body, so bits it does not define and bytes
+// past the last field are errors rather than silently skipped.
+func TestDecodeRejectsUnknownFlagsAndTrailingBytes(t *testing.T) {
+	for _, in := range []Frame{&Request{Op: OpPing, ID: "p"}, &Response{OK: true, ID: "p"}} {
+		body := frameBytes(t, in)[4:]
+		flagged := bytes.Clone(body)
+		flagged[2] |= 1 << 7
+		trailing := append(bytes.Clone(body), 0)
+		for name, b := range map[string][]byte{"flag": flagged, "trailing": trailing} {
+			out := reflect.New(reflect.TypeOf(in).Elem()).Interface().(Frame)
+			if _, err := ReadFrame(bytes.NewReader(append(withBody(b), b...)), out); err == nil {
+				t.Fatalf("%T with %s accepted", in, name)
 			}
 		}
 	}

@@ -50,20 +50,31 @@ func newGroupWriter(conn net.Conn, deadline func() time.Time, onFatal func(error
 	return g
 }
 
-// writeFrame encodes v in the given codec and queues the frame for the
-// flusher, returning its wire size. The returned error covers only
-// queueing — a later flush failure severs the connection, which callers
-// observe through their read side.
-func (g *groupWriter) writeFrame(v any, codec Codec) (int64, error) {
+// writeFrame encodes f and queues the frame for the flusher, returning
+// its wire size. The returned error covers only encoding and queueing —
+// a later flush failure severs the connection, which callers observe
+// through their read side.
+func (g *groupWriter) writeFrame(f Frame) (int64, error) {
 	bp := getBuf()
-	frame, err := appendFrame((*bp)[:0], v, codec)
+	frame, err := appendFrame((*bp)[:0], f)
 	if err != nil {
 		putBuf(bp)
 		return 0, err
 	}
 	n := int64(len(frame))
 	g.mu.Lock()
-	err = g.enqueueLocked(frame)
+	switch {
+	case g.err != nil:
+		err = fmt.Errorf("wire: connection failed: %w", g.err)
+	case g.stopped:
+		err = net.ErrClosed
+	case len(g.queue) > MaxFrame:
+		g.failLocked(errWriteQueueOverflow)
+		err = errWriteQueueOverflow
+	default:
+		g.queue = append(g.queue, frame...)
+		g.wake.Signal()
+	}
 	g.mu.Unlock()
 	*bp = frame
 	putBuf(bp)
@@ -71,24 +82,6 @@ func (g *groupWriter) writeFrame(v any, codec Codec) (int64, error) {
 		return 0, err
 	}
 	return n, nil
-}
-
-// enqueueLocked appends one encoded frame to the queue and signals the
-// flusher. The caller holds mu.
-func (g *groupWriter) enqueueLocked(frame []byte) error {
-	if g.err != nil {
-		return fmt.Errorf("wire: connection failed: %w", g.err)
-	}
-	if g.stopped {
-		return net.ErrClosed
-	}
-	if len(g.queue) > MaxFrame {
-		g.failLocked(errWriteQueueOverflow)
-		return errWriteQueueOverflow
-	}
-	g.queue = append(g.queue, frame...)
-	g.wake.Signal()
-	return nil
 }
 
 // flushLoop is the connection's single flusher. Woken by the first
@@ -131,12 +124,12 @@ func (g *groupWriter) flushLoop() {
 }
 
 // flushChunk writes one batch of frames in a single syscall, bounded by
-// the deadline callback when one is configured. Flusher-only.
+// the deadline callback when one is configured. A zero deadline clears
+// the previous flush's, so a timeout that was switched off cannot fail
+// a later write. Flusher-only.
 func (g *groupWriter) flushChunk(out []byte) error {
 	if g.deadline != nil {
-		if d := g.deadline(); !d.IsZero() {
-			g.conn.SetWriteDeadline(d)
-		}
+		g.conn.SetWriteDeadline(g.deadline())
 	}
 	_, err := g.conn.Write(out)
 	return err

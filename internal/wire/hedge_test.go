@@ -2,7 +2,7 @@ package wire
 
 // Hedged-request tests: the tail-latency arm must win races cleanly,
 // settle the losing arm as a cancellation (never a breaker failure),
-// and leave no per-connection call state behind on either codec path.
+// and leave no per-connection call state behind.
 
 import (
 	"bytes"

@@ -186,6 +186,62 @@ func TestServerInflightGauge(t *testing.T) {
 	}
 }
 
+// TestPoolStartsConcurrentRequests: a fresh connection's worker pool
+// must start every concurrently arriving request while it is below its
+// bound, even when each handler blocks until all of them have started.
+// A request handed to a worker that was about to pick up another one
+// would wait behind it, and here that is a deadlock.
+func TestPoolStartsConcurrentRequests(t *testing.T) {
+	const held = 3
+	started := make(chan struct{}, held)
+	release := make(chan struct{}, held) // one token per held call
+	abort := make(chan struct{})
+	reg := faas.NewRegistry()
+	reg.Register("hold", func(p []byte) ([]byte, error) {
+		select {
+		case started <- struct{}{}:
+		case <-abort:
+		}
+		select {
+		case <-release:
+		case <-abort:
+		}
+		return p, nil
+	})
+	ep := faas.NewEndpoint(faas.EndpointConfig{Name: "poolstart", Capacity: held}, reg)
+	addr := startServerOn(t, &Server{Invoker: ep, Registry: reg, Endpoints: []*faas.Endpoint{ep}})
+	t.Cleanup(func() { close(abort) }) // runs before the server's Close
+	for round := 0; round < 100; round++ {
+		c, err := Dial(addr) // a new connection starts a new, empty pool
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < held; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := c.Invoke("hold", nil); err != nil {
+					t.Errorf("hold: %v", err)
+				}
+			}()
+		}
+		for i := 0; i < held; i++ {
+			select {
+			case <-started:
+			case <-time.After(5 * time.Second):
+				c.Close()
+				t.Fatalf("round %d: only %d of %d concurrent requests started", round, i, held)
+			}
+		}
+		for i := 0; i < held; i++ {
+			release <- struct{}{}
+		}
+		wg.Wait()
+		c.Close()
+	}
+}
+
 // TestReliableClientPoolReuse: the pooled client must reuse warm
 // connections instead of dialing per call, and count the reuses.
 func TestReliableClientPoolReuse(t *testing.T) {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"log/slog"
 	"net"
 	"strings"
@@ -60,7 +61,7 @@ func TestRequestIDEcho(t *testing.T) {
 			t.Fatal(err)
 		}
 		var resp Response
-		if err := ReadFrame(conn, &resp); err != nil {
+		if _, err := ReadFrame(conn, &resp); err != nil {
 			t.Fatal(err)
 		}
 		if resp.ID != req.ID {
@@ -69,28 +70,6 @@ func TestRequestIDEcho(t *testing.T) {
 		if !resp.OK {
 			t.Fatalf("op %s failed: %s", req.Op, resp.Error)
 		}
-	}
-}
-
-// TestRequestIDOmittedForOldPeers confirms a request without an ID gets a
-// response without one — the field stays invisible to peers that predate
-// it.
-func TestRequestIDOmittedForOldPeers(t *testing.T) {
-	_, addr := startServer(t)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := WriteFrame(conn, &Request{Op: OpPing}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := ReadFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != "" {
-		t.Fatalf("ID-less request got ID %q back", resp.ID)
 	}
 }
 
@@ -117,6 +96,24 @@ func TestClientGeneratesUniqueIDs(t *testing.T) {
 	}
 }
 
+// waitCounter waits for counter name to read exactly want. The server
+// accounts a request after queueing its response, so the client can see
+// the answer a moment before the counters move.
+func waitCounter(t *testing.T, m *metrics.Registry, name string, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got := m.Counter(name).Value()
+		if got == want {
+			return
+		}
+		if got > want || time.Now().After(deadline) {
+			t.Fatalf("%s = %d, want %d", name, got, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestServerPerOpCounters(t *testing.T) {
 	m, addr := startObservedServer(t)
 	c, err := Dial(addr)
@@ -136,20 +133,45 @@ func TestServerPerOpCounters(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Counter(metrics.Label("wire_requests_total", "op", "invoke")).Value(); got != 3 {
-		t.Fatalf("invoke requests = %d, want 3", got)
-	}
-	if got := m.Counter(metrics.Label("wire_errors_total", "op", "invoke")).Value(); got != 1 {
-		t.Fatalf("invoke errors = %d, want 1", got)
-	}
-	if got := m.Counter(metrics.Label("wire_requests_total", "op", "ping")).Value(); got != 1 {
-		t.Fatalf("ping requests = %d, want 1", got)
-	}
+	waitCounter(t, m, metrics.Label("wire_requests_total", "op", "invoke"), 3)
+	waitCounter(t, m, metrics.Label("wire_errors_total", "op", "invoke"), 1)
+	waitCounter(t, m, metrics.Label("wire_requests_total", "op", "ping"), 1)
 	if got := m.Counter(metrics.Label("wire_request_bytes_total", "op", "invoke")).Value(); got <= 0 {
 		t.Fatalf("invoke request bytes = %d, want > 0", got)
 	}
 	if got := m.Counter(metrics.Label("wire_response_bytes_total", "op", "invoke")).Value(); got <= 0 {
 		t.Fatalf("invoke response bytes = %d, want > 0", got)
+	}
+}
+
+// TestUnknownOpsBoundedMetrics: op strings come off the network, so
+// ops outside the protocol's constants share op="unknown" — any number
+// of distinct junk ops adds the same fixed set of registry names.
+func TestUnknownOpsBoundedMetrics(t *testing.T) {
+	m, addr := startObservedServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	junk := func(from, to int) int {
+		for i := from; i < to; i++ {
+			if _, err := c.roundTrip(&Request{Op: Op(fmt.Sprintf("junk-%d", i))}); err == nil {
+				t.Fatalf("junk op %d succeeded", i)
+			}
+		}
+		return len(m.Names())
+	}
+	after1, after200 := junk(0, 1), junk(1, 200)
+	if after200 != after1 {
+		t.Fatalf("registry grew from %d to %d names over 199 more junk ops", after1, after200)
+	}
+	waitCounter(t, m, metrics.Label("wire_requests_total", "op", "unknown"), 200)
+	waitCounter(t, m, metrics.Label("wire_errors_total", "op", "unknown"), 200)
+	for _, name := range m.Names() {
+		if strings.Contains(name, "junk") {
+			t.Fatalf("registry holds a peer-chosen name %q", name)
+		}
 	}
 }
 

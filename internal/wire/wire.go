@@ -1,25 +1,22 @@
 // Package wire exposes the faas layer over TCP with a length-prefixed
-// frame protocol (JSON, with an opt-in binary codec — see codec.go),
-// giving the reproduction a real multi-process mode: continuumd serves
-// endpoints, continuumctl (or any Client) invokes functions across
-// them. Frames are capped to guard against runaway peers.
+// binary frame protocol (see codec.go), giving the reproduction a real
+// multi-process mode: continuumd serves endpoints, continuumctl (or any
+// Client) invokes functions across them. Every frame body starts with
+// the protocol version byte; there is one dialect and no handshake.
+// Frames are capped to guard against runaway peers.
 //
 // The protocol is multiplexed: clients pipeline many calls over one
 // connection, and the server dispatches each connection's requests to a
 // bounded worker pool, writing responses as they complete — out of
 // order when a slow function would otherwise head-of-line-block the
-// calls behind it. Responses are matched to requests by ID. Requests
-// without an ID (legacy peers, which never pipeline) are processed
-// strictly serially, preserving the old in-order contract.
+// calls behind it. Responses are matched to requests by ID.
 //
 // Observability: clients stamp every request with a generated ID which
-// the server echoes on the response (old peers that omit or drop the
-// field interoperate unchanged — it is a plain optional JSON field).
-// A server given a metrics registry counts requests, errors, and frame
-// bytes by op, and tracks in-flight requests as a gauge; given a logger
-// it emits one structured line per request carrying the request ID, so
-// a slow or failing invocation can be correlated across client and
-// server logs.
+// the server echoes on the response. A server given a metrics registry
+// counts requests, errors, and frame bytes by op, and tracks in-flight
+// requests as a gauge; given a logger it emits one structured line per
+// request carrying the request ID, so a slow or failing invocation can
+// be correlated across client and server logs.
 //
 // ReliableClient layers retry, failover, per-endpoint circuit breaking,
 // and optional hedging (HedgeConfig) over the raw client: when a call
@@ -144,38 +141,39 @@ const (
 	OpEndpoints Op = "endpoints"
 )
 
-// Request is a client frame. ID, when set, is echoed verbatim on the
-// response; peers predating the field simply never see it (optional JSON
-// both ways), so mixed-version federations keep working. Accept, when
-// set to AcceptBinary, advertises that the sender understands binary
-// response frames — another optional field old servers ignore.
+// knownOps are the protocol's ops. Decoding interns them, and each has
+// its own metric label; any other op string a peer sends is counted as
+// op="unknown", so a peer cannot grow the registry.
+var knownOps = []Op{
+	OpInvoke, OpBatch, OpList, OpStats, OpTop, OpPing, OpTrace,
+	OpRegister, OpHeartbeat, OpDeregister, OpEndpoints,
+}
+
+// opUnknown labels requests whose op is not one of knownOps.
+const opUnknown Op = "unknown"
+
+// Request is a client frame. ID is echoed verbatim on the response; the
+// client matches responses to calls by it.
 //
 // TraceID/SpanID carry distributed trace context: the trace this call
 // belongs to and the caller's span (the parent for every span the server
-// records while processing it). Like ID they are optional in both
-// codecs — a legacy peer drops them and the trace simply loses that
-// hop's spans, never its integrity.
-//
-// Priority is the request's admission class (faas.PriorityLow = -1,
-// 0 = normal, faas.PriorityHigh = 1): under overload the server sheds
-// lower classes first. Zero — the wire default — is normal, so legacy
-// peers that never send the field land in the normal class, and frames
-// from priority-unaware clients stay byte-identical in both codecs.
-// Member is the federation control-plane body (register, heartbeat,
-// deregister — see MemberInfo). Like the trace fields it is optional in
-// both codecs: requests that don't carry it stay byte-identical to
-// pre-federation frames, and legacy peers simply drop it.
+// records while processing it). Priority is the request's admission
+// class (faas.PriorityLow = -1, 0 = normal, faas.PriorityHigh = 1):
+// under overload the server sheds lower classes first. Member is the
+// federation control-plane body (register, heartbeat, deregister — see
+// MemberInfo). These three are optional: each rides the frame only when
+// its flag bit is set, so an untraced, normal-priority invoke carries
+// none of their bytes.
 type Request struct {
-	Op       Op          `json:"op"`
-	ID       string      `json:"id,omitempty"`
-	Accept   string      `json:"accept,omitempty"`
-	Fn       string      `json:"fn,omitempty"`
-	Payload  []byte      `json:"payload,omitempty"`
-	Batch    [][]byte    `json:"batch,omitempty"`
-	TraceID  string      `json:"trace,omitempty"`
-	SpanID   string      `json:"span,omitempty"`
-	Priority int         `json:"prio,omitempty"`
-	Member   *MemberInfo `json:"member,omitempty"`
+	Op       Op
+	ID       string
+	Fn       string
+	Payload  []byte
+	Batch    [][]byte
+	TraceID  string
+	SpanID   string
+	Priority int
+	Member   *MemberInfo
 }
 
 // EndpointStats mirrors one endpoint's counters.
@@ -205,34 +203,30 @@ type FnMetrics struct {
 // Response is a server frame. ID echoes the request's ID. Retryable,
 // when set on an error response, marks the failure as transient — the
 // client may safely retry the request on this or another endpoint.
-// Codec acks the frame encoding the server chose (set when it answers
-// in binary), upgrading the connection for codec-aware clients. Like ID
-// these are optional JSON fields, so mixed-version peers interoperate.
 // RetryAfterMS, set on shed (admission-rejected) error responses, is the
 // server's Retry-After hint in milliseconds: how long the client should
-// back off before retrying. Optional in both codecs (JSON omitempty;
-// binary rides the rare-field extension), so unloaded responses stay
-// byte-identical and legacy peers simply never see it.
-// Members, HeartbeatMS, and Generation are the federation control-plane
-// results: Members answers the endpoints op, HeartbeatMS and Generation
-// answer register (the interval the daemon must heartbeat at, and the
-// incarnation it must echo). All optional in both codecs.
+// back off before retrying. Members, HeartbeatMS, and Generation are the
+// federation control-plane results: Members answers the endpoints op,
+// HeartbeatMS and Generation answer register (the interval the daemon
+// must heartbeat at, and the incarnation it must echo). RetryAfterMS
+// and the fields after Batch are rare: they ride the frame's JSON
+// extension section only when one of them is set, so an ordinary
+// invoke answer never touches encoding/json.
 type Response struct {
-	OK           bool            `json:"ok"`
-	ID           string          `json:"id,omitempty"`
-	Codec        string          `json:"codec,omitempty"`
-	Error        string          `json:"error,omitempty"`
-	Retryable    bool            `json:"retryable,omitempty"`
-	RetryAfterMS int64           `json:"retry_after_ms,omitempty"`
-	Payload      []byte          `json:"payload,omitempty"`
-	Batch        [][]byte        `json:"batch,omitempty"`
-	Names        []string        `json:"names,omitempty"`
-	Stats        []EndpointStats `json:"stats,omitempty"`
-	Top          []FnMetrics     `json:"top,omitempty"`
-	Spans        []trace.Span    `json:"spans,omitempty"` // OpTrace result
-	Members      []MemberStatus  `json:"members,omitempty"`
-	HeartbeatMS  int64           `json:"heartbeat_ms,omitempty"`
-	Generation   int64           `json:"generation,omitempty"`
+	OK           bool
+	ID           string
+	Error        string
+	Retryable    bool
+	RetryAfterMS int64
+	Payload      []byte
+	Batch        [][]byte
+	Names        []string
+	Stats        []EndpointStats
+	Top          []FnMetrics
+	Spans        []trace.Span // OpTrace result
+	Members      []MemberStatus
+	HeartbeatMS  int64
+	Generation   int64
 }
 
 // OpsHandler extends a Server with additional ops without the Server
@@ -261,14 +255,14 @@ type Server struct {
 	Ops OpsHandler
 
 	// Workers bounds concurrent request processing per connection
-	// (0 = DefaultConnWorkers). Requests without an ID — legacy peers,
-	// which never pipeline — are always processed serially.
+	// (0 = DefaultConnWorkers).
 	Workers int
 
 	// Metrics, when set, receives per-op counters (wire_requests_total,
 	// wire_errors_total, wire_request_bytes_total,
-	// wire_response_bytes_total, all labeled {op}), the wire_inflight
-	// gauge, and powers the top op. Share it with the endpoints'
+	// wire_response_bytes_total, all labeled {op}; an op outside the
+	// protocol counts as op="unknown"), the wire_inflight gauge, and
+	// powers the top op. Share it with the endpoints'
 	// SetMetrics so one /metrics exposition covers the whole daemon.
 	Metrics *metrics.Registry
 	// Logger, when set, emits one structured line per request with the
@@ -303,8 +297,12 @@ type Server struct {
 	// "never overridden" (fall back to the Chaos field).
 	chaosOverride atomic.Pointer[chaosSlot]
 
-	inflightOnce sync.Once
-	inflight     *metrics.Gauge // wire_inflight, nil without Metrics
+	// Metric handles, resolved once on first use (nil without Metrics)
+	// so the request path never formats a label or takes the registry
+	// lock.
+	obsOnce  sync.Once
+	inflight *metrics.Gauge // wire_inflight
+	opStats  map[Op]*opCounters
 
 	mu       sync.Mutex
 	lis      net.Listener
@@ -331,13 +329,6 @@ func newCountConn(conn net.Conn) *countConn {
 	// severing it unblocks the reader, which tears the handler down.
 	cc.gw = newGroupWriter(conn, nil, func(error) { conn.Close() })
 	return cc
-}
-
-// writeFrame queues one response frame on the connection's batching
-// writer and returns its wire size. Concurrent workers' responses
-// coalesce into shared syscalls.
-func (c *countConn) writeFrame(v any, codec Codec) (int64, error) {
-	return c.gw.writeFrame(v, codec)
 }
 
 // Serve accepts connections until the listener closes. It returns nil
@@ -429,23 +420,41 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
-// inflightGauge lazily resolves the wire_inflight gauge.
-func (s *Server) inflightGauge() *metrics.Gauge {
+// opCounters are one op's wire_*_total counter handles.
+type opCounters struct {
+	requests, errors, reqBytes, respBytes *metrics.Counter
+}
+
+// resolveMetrics resolves the wire_inflight gauge and every op's
+// counters once. It reports whether the server has a registry.
+func (s *Server) resolveMetrics() bool {
 	if s.Metrics == nil {
-		return nil
+		return false
 	}
-	s.inflightOnce.Do(func() {
+	s.obsOnce.Do(func() {
 		s.inflight = s.Metrics.Gauge("wire_inflight")
+		s.opStats = make(map[Op]*opCounters, len(knownOps)+1)
+		for _, op := range append(knownOps, opUnknown) {
+			l := func(name string) *metrics.Counter {
+				return s.Metrics.Counter(metrics.Label(name, "op", string(op)))
+			}
+			s.opStats[op] = &opCounters{
+				requests:  l("wire_requests_total"),
+				errors:    l("wire_errors_total"),
+				reqBytes:  l("wire_request_bytes_total"),
+				respBytes: l("wire_response_bytes_total"),
+			}
+		}
 	})
-	return s.inflight
+	return true
 }
 
 // handle is one connection's reader loop: it reads frames and fans each
 // request out to a bounded worker pool, so a slow call never blocks the
 // calls pipelined behind it. Responses are written as they complete,
-// serialized by the connection's write mutex. Legacy ID-less requests
-// run inline, keeping strict-serial semantics for peers that expect
-// in-order responses.
+// batched by the connection's group-commit writer. A frame that fails
+// to decode — wrong version byte, empty body, malformed fields — drops
+// the connection.
 func (s *Server) handle(conn net.Conn) {
 	s.mu.Lock()
 	if s.draining {
@@ -468,14 +477,14 @@ func (s *Server) handle(conn net.Conn) {
 		workers = DefaultConnWorkers
 	}
 	// Persistent worker pool, grown on demand: dispatching a request is a
-	// channel send to an already-running goroutine, not a goroutine spawn
+	// hand-off to an already-running goroutine, not a goroutine spawn
 	// (whose fresh stack would regrow through the handler on every
-	// single request). The buffered channel doubles as the backpressure
-	// bound: the reader blocks once `workers` requests are queued beyond
-	// the ones being processed.
-	tasks := make(chan connTask, workers)
+	// single request). The channel is unbuffered, so a send succeeds
+	// only when a worker is waiting: a request is never parked behind a
+	// busy worker while the pool can still grow. Once `workers` are busy
+	// the reader blocks — the per-connection backpressure bound.
+	tasks := make(chan connTask)
 	var spawned int
-	var idle atomic.Int64
 	var cwg sync.WaitGroup
 	defer func() {
 		close(tasks)
@@ -490,7 +499,7 @@ func (s *Server) handle(conn net.Conn) {
 	br := bufio.NewReaderSize(cc.Conn, 64<<10) // a pipelined burst reads in one syscall
 	for {
 		req := new(Request)
-		codec, inB, err := readFrameCodecN(br, req)
+		inB, err := ReadFrame(br, req)
 		if err != nil {
 			return // EOF, bad peer, or drain cut: drop the connection
 		}
@@ -501,26 +510,23 @@ func (s *Server) handle(conn net.Conn) {
 			read = time.Now()
 		}
 		cc.inflight.Add(1)
-		if req.ID == "" {
-			s.process(cc, req, codec, inB, read)
-		} else {
-			if idle.Load() == 0 && spawned < workers {
+		t := connTask{req, inB, read}
+		select {
+		case tasks <- t: // an idle worker took it
+		default:
+			if spawned < workers {
 				spawned++
 				cwg.Add(1)
-				go func() {
+				go func(t connTask) {
 					defer cwg.Done()
-					for {
-						idle.Add(1)
-						t, ok := <-tasks
-						idle.Add(-1)
-						if !ok {
-							return
-						}
-						s.process(cc, t.req, t.codec, t.inB, t.read)
+					s.process(cc, t.req, t.inB, t.read)
+					for t := range tasks {
+						s.process(cc, t.req, t.inB, t.read)
 					}
-				}()
+				}(t)
+			} else {
+				tasks <- t // every worker is busy: wait for one
 			}
-			tasks <- connTask{req, codec, inB, read}
 		}
 		if s.isDraining() {
 			return // graceful shutdown: stop reading, finish what's in flight
@@ -530,10 +536,9 @@ func (s *Server) handle(conn net.Conn) {
 
 // connTask is one dispatched request on its way to a connection worker.
 type connTask struct {
-	req   *Request
-	codec Codec
-	inB   int64
-	read  time.Time // when the frame left the reader (traced requests only)
+	req  *Request
+	inB  int64
+	read time.Time // when the frame left the reader (traced requests only)
 }
 
 // serviceName labels this server's spans.
@@ -548,7 +553,7 @@ func (s *Server) serviceName() string {
 // response write, accounting. It decrements the connection's in-flight
 // count and, during a drain, closes the connection once it goes idle so
 // the blocked reader exits.
-func (s *Server) process(cc *countConn, req *Request, codec Codec, inB int64, read time.Time) {
+func (s *Server) process(cc *countConn, req *Request, inB int64, read time.Time) {
 	start := time.Now()
 	// Traced request on a traced server: record one server span parented
 	// to the caller's span, covering chaos, dispatch, and response
@@ -562,13 +567,13 @@ func (s *Server) process(cc *countConn, req *Request, codec Codec, inB int64, re
 			sp.SetAttr("pool_wait_us", strconv.FormatInt(start.Sub(read).Microseconds(), 10))
 		}
 	}
-	g := s.inflightGauge()
-	if g != nil {
-		g.Add(1)
+	observed := s.resolveMetrics()
+	if observed {
+		s.inflight.Add(1)
 	}
 	done := func() {
-		if g != nil {
-			g.Add(-1)
+		if observed {
+			s.inflight.Add(-1)
 		}
 		if cc.inflight.Add(-1) == 0 && s.isDraining() {
 			// Drain: last in-flight request just finished. Let its
@@ -610,15 +615,7 @@ func (s *Server) process(cc *countConn, req *Request, codec Codec, inB int64, re
 		}
 		sp.End()
 	}
-	// Answer in binary when the request arrived in binary or advertised
-	// it; the Codec ack tells the client the upgrade is on.
-	if codec == CodecBinary || req.Accept == AcceptBinary {
-		codec = CodecBinary
-		resp.Codec = codecBinaryName
-	} else {
-		codec = CodecJSON
-	}
-	outB, err := cc.writeFrame(resp, codec)
+	outB, err := cc.gw.writeFrame(resp)
 	done()
 	if err == nil {
 		s.observe(req, resp, time.Since(start), inB, outB)
@@ -658,13 +655,17 @@ func (s *Server) countChaos(kind string) {
 // and independently nil-safe.
 func (s *Server) observe(req *Request, resp *Response, d time.Duration, inB, outB int64) {
 	op := string(req.Op)
-	if s.Metrics != nil {
-		s.Metrics.Counter(metrics.Label("wire_requests_total", "op", op)).Inc()
-		if !resp.OK {
-			s.Metrics.Counter(metrics.Label("wire_errors_total", "op", op)).Inc()
+	if s.resolveMetrics() {
+		c := s.opStats[req.Op]
+		if c == nil {
+			c = s.opStats[opUnknown]
 		}
-		s.Metrics.Counter(metrics.Label("wire_request_bytes_total", "op", op)).Add(inB)
-		s.Metrics.Counter(metrics.Label("wire_response_bytes_total", "op", op)).Add(outB)
+		c.requests.Inc()
+		if !resp.OK {
+			c.errors.Inc()
+		}
+		c.reqBytes.Add(inB)
+		c.respBytes.Add(outB)
 	}
 	if s.Logger != nil {
 		attrs := []any{

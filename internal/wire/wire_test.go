@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -41,7 +42,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out Request
-	if err := ReadFrame(&buf, &out); err != nil {
+	if _, err := ReadFrame(&buf, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.Op != in.Op || out.Fn != in.Fn || !bytes.Equal(out.Payload, in.Payload) {
@@ -53,7 +54,7 @@ func TestReadFrameRejectsHugeLength(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
 	var req Request
-	err := ReadFrame(bytes.NewReader(hdr[:]), &req)
+	_, err := ReadFrame(bytes.NewReader(hdr[:]), &req)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v", err)
 	}
@@ -64,9 +65,9 @@ func TestReadFrameShortBody(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], 100)
 	buf.Write(hdr[:])
-	buf.WriteString("{}") // only 2 bytes of promised 100
+	buf.Write([]byte{protoVersion, kindRequest}) // only 2 bytes of promised 100
 	var req Request
-	if err := ReadFrame(&buf, &req); err == nil {
+	if _, err := ReadFrame(&buf, &req); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
 }
@@ -199,7 +200,7 @@ func TestUnknownOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resp Response
-	if err := ReadFrame(conn, &resp); err != nil {
+	if _, err := ReadFrame(conn, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.OK || resp.Error == "" {
@@ -218,5 +219,120 @@ func TestServerCloseUnblocksServe(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close hung")
+	}
+}
+
+// TestServerDropsWrongVersion: a frame whose body is empty or does not
+// start with this build's version byte — including an old-dialect JSON
+// frame and a v2 binary frame — gets no answer and a dropped
+// connection, and the server keeps serving everyone else.
+func TestServerDropsWrongVersion(t *testing.T) {
+	_, addr := startServer(t)
+	good := frameBytes(t, &Request{Op: OpPing, ID: "p"})[4:]
+	bodies := map[string][]byte{
+		"empty": {},
+		"json":  []byte(`{"op":"ping","id":"old-1"}`),
+		"v2":    append([]byte{0xC5}, good[1:]...),
+		"next":  append([]byte{protoVersion + 1}, good[1:]...),
+	}
+	for name, body := range bodies {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(append(withBody(body), body...)); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := conn.Read(make([]byte, 1))
+		var ne net.Error
+		if n != 0 || err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+			t.Fatalf("%s body: read %d B, err %v; want the connection dropped unanswered", name, n, err)
+		}
+		conn.Close()
+	}
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Ping(); err != nil {
+		t.Fatalf("server stopped serving after bad frames: %v", err)
+	}
+}
+
+// TestLateResponseDropped: a call that timed out or was cancelled (a
+// hedge's losing arm) must not have its late answer handed to the next
+// call on the connection. The stub holds response 1, with its ID, until
+// request 2 arrives — which happens only after call 1 gave up — so the
+// stale answer lands while call 2 waits.
+func TestLateResponseDropped(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want error
+		// call1 makes the first call; got1 closes once the stub has read
+		// its request, so giving up never races the request's write.
+		call1 func(c *Client, got1 <-chan struct{}) error
+	}{
+		{"timeout", context.DeadlineExceeded, func(c *Client, _ <-chan struct{}) error {
+			c.SetCallTimeout(50 * time.Millisecond) // checked only once the request is queued
+			defer c.SetCallTimeout(0)
+			_, err := c.Invoke("upper", []byte("stale"))
+			return err
+		}},
+		{"cancel", context.Canceled, func(c *Client, got1 <-chan struct{}) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				<-got1
+				cancel()
+			}()
+			_, err := c.InvokeContext(ctx, "upper", []byte("stale"))
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { lis.Close() })
+			got1 := make(chan struct{})
+			go func() {
+				conn, err := lis.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				var req1, req2 Request
+				if _, err := ReadFrame(conn, &req1); err != nil {
+					return
+				}
+				close(got1)
+				if _, err := ReadFrame(conn, &req2); err != nil {
+					return
+				}
+				for _, req := range []Request{req1, req2} {
+					if WriteFrame(conn, &Response{OK: true, ID: req.ID, Payload: bytes.ToUpper(req.Payload)}) != nil {
+						return
+					}
+				}
+				// Keep the connection open until the client is done.
+				ReadFrame(conn, &req1)
+			}()
+			c, err := Dial(lis.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := tc.call1(c, got1); !errors.Is(err, tc.want) {
+				t.Fatalf("held call returned %v, want %v", err, tc.want)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			out, err := c.InvokeContext(ctx, "upper", []byte("next"))
+			if err != nil || string(out) != "NEXT" {
+				t.Fatalf("call after %s got %q, %v — the stale response was misrouted", tc.name, out, err)
+			}
+		})
 	}
 }

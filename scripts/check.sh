@@ -6,6 +6,12 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Gate runs write their reports here, never over the committed
+# BENCH_*.json records: only the `make bench-*` full runs write those,
+# so a passing check leaves `git status` clean.
+gate_out=$(mktemp -d)
+trap 'rm -rf "$gate_out"' EXIT
+
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -28,6 +34,12 @@ echo "== wire bench smoke =="
 # compiling or panics without paying for a full measurement run.
 go test -run '^$' -bench 'BenchmarkWire' -benchtime=1x ./internal/wire
 
+echo "== fuzz smoke =="
+# The wire frame decoder reads bytes straight off the network: ten
+# seconds of fuzzing on top of the committed seed corpus must find no
+# panic and no input that fails to round-trip.
+go test -run '^$' -fuzz 'FuzzDecodeFrame' -fuzztime 10s ./internal/wire
+
 echo "== chaos smoke (-race) =="
 # End-to-end reliability gate: fault injection active, one endpoint
 # killed mid-run, the reliable client must complete every invocation.
@@ -46,14 +58,14 @@ echo "== overload smoke (-race) =="
 # fail-fast with Retry-After, keeps high-priority p99 bounded, and
 # admission-on goodput must be at least admission-off.
 go test -race -count=1 -run 'TestE2EOverloadGracefulDegradation' .
-go run ./cmd/continuum-bench -overload -overload-gate -overload-dur 1s -overload-out BENCH_overload.json
+go run ./cmd/continuum-bench -overload -overload-gate -overload-dur 1s -overload-out "$gate_out/BENCH_overload.json"
 
 echo "== engine smoke =="
 # Kernel raw-speed gate: a trimmed calendar-vs-baseline benchmark must
 # hold the throughput floor, run the steady-state path allocation-free,
 # beat the pooled-heap reference, and the sharded-parallel group must
 # fire identically serial and parallel.
-go run ./cmd/continuum-bench -engine -engine-quick -engine-gate -engine-out BENCH_engine.json
+go run ./cmd/continuum-bench -engine -engine-quick -engine-gate -engine-out "$gate_out/BENCH_engine.json"
 
 echo "== scenario library validate =="
 # Every shipped scenario must pass the DSL validator.
