@@ -57,9 +57,12 @@ type engineGroupResult struct {
 }
 
 type engineReport struct {
-	GOOS   string `json:"goos"`
-	GOARCH string `json:"goarch"`
-	CPUs   int    `json:"cpus"`
+	Commit     string `json:"commit"`
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	CPUs       int    `json:"cpus"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
 
 	Kernel []engineKernelPoint `json:"kernel"`
 	// HeadlineSpeedup is calendar over the seed-era baseline kernel at
@@ -73,9 +76,12 @@ type engineReport struct {
 
 	// Engine end-to-end: a generated stress scenario through the full
 	// pipeline (placement, staging, netsim, execution, trace).
-	EngineNodes       int     `json:"engine_nodes"`
-	EngineTasks       int64   `json:"engine_tasks"`
-	EngineTasksPerSec float64 `json:"engine_tasks_per_sec"`
+	// EngineAllocsPerTask is heap objects allocated over the whole run
+	// (validate, build, simulate) per completed task.
+	EngineNodes         int     `json:"engine_nodes"`
+	EngineTasks         int64   `json:"engine_tasks"`
+	EngineTasksPerSec   float64 `json:"engine_tasks_per_sec"`
+	EngineAllocsPerTask float64 `json:"engine_allocs_per_task"`
 }
 
 // measureKernel runs a self-perpetuating workload on one kernel kind:
@@ -266,7 +272,11 @@ func runEngineBench(quick bool, out string, gate bool, floor float64) error {
 		engineNodes = 64
 	}
 
-	rep := &engineReport{GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, CPUs: runtime.NumCPU()}
+	rep := &engineReport{
+		Commit: commitStamp(), GoVersion: runtime.Version(),
+		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
+		CPUs: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+	}
 	for _, pending := range populations {
 		p := engineKernelPoint{Pending: pending, Events: events}
 		p.CalendarEvPerSec, p.AllocsPerEvent = measureKernel(sim.QueueCalendar, pending, events)
@@ -290,17 +300,21 @@ func runEngineBench(quick bool, out string, gate bool, floor float64) error {
 		rep.Group.ParallelWorkers, rep.Group.ParallelEvPerSec, rep.Group.Identical)
 
 	s := scenario.GenerateStress(scenario.StressSpec{Nodes: engineNodes, Seed: 7, Origins: 16, Horizon: 20})
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
 	t0 := time.Now()
 	r, err := s.Run()
 	if err != nil {
 		return err
 	}
 	dt := time.Since(t0).Seconds()
+	runtime.ReadMemStats(&m1)
 	rep.EngineNodes = engineNodes
 	rep.EngineTasks = r.Completed
 	rep.EngineTasksPerSec = float64(r.Completed) / dt
-	fmt.Printf("engine %d nodes: %d tasks end-to-end, %.0f tasks/sec\n",
-		engineNodes, rep.EngineTasks, rep.EngineTasksPerSec)
+	rep.EngineAllocsPerTask = float64(m1.Mallocs-m0.Mallocs) / float64(r.Completed)
+	fmt.Printf("engine %d nodes: %d tasks end-to-end, %.0f tasks/sec, %.1f allocs/task\n",
+		engineNodes, rep.EngineTasks, rep.EngineTasksPerSec, rep.EngineAllocsPerTask)
 
 	blob, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {

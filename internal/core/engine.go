@@ -38,7 +38,7 @@ type engine struct {
 	fb placement.FeedbackPolicy
 
 	// hasFaults caches len(opts.Faults) > 0 so fault-free runs skip the
-	// per-dispatch epoch map lookups (three per attempt) entirely.
+	// per-dispatch epoch lookups (three per attempt) entirely.
 	hasFaults bool
 
 	// Per-dispatch scratch, reused across attempts. The kernel is
@@ -58,6 +58,7 @@ func newEngine(c *Continuum, opts ReliableOptions) *engine {
 	if opts.RetryBackoff <= 0 {
 		opts.RetryBackoff = defaultRetryBackoff
 	}
+	opts.indexTargets()
 	return &engine{c: c, st: &ReliableStats{Stats: newStats()}, opts: opts, hasFaults: len(opts.Faults) > 0}
 }
 

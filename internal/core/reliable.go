@@ -60,6 +60,11 @@ type ReliableOptions struct {
 	// scenario "cordon" event; the live half is faas.Endpoint.SetCordon.
 	// Nil cordons nothing.
 	Cordoned func(n *node.Node) bool
+
+	// targets is Faults laid out densely by node ID (nil where a node has
+	// no target), built once by newEngine: up and epoch run on every
+	// dispatch, so they index a slice instead of hashing into the map.
+	targets []*fault.Target
 }
 
 // Stream job priority classes, mirroring internal/faas: the zero value
@@ -189,15 +194,37 @@ func (r *ReliableStats) SuccessRate() float64 {
 	return float64(r.Completed) / float64(total)
 }
 
+// indexTargets lays Faults out densely by node ID for target.
+func (o *ReliableOptions) indexTargets() {
+	size := 0
+	for id := range o.Faults {
+		size = max(size, id+1)
+	}
+	o.targets = make([]*fault.Target, size)
+	for id, t := range o.Faults {
+		if id >= 0 {
+			o.targets[id] = t
+		}
+	}
+}
+
+// target returns the node's fault target, nil for an always-up node.
+func (o *ReliableOptions) target(n *node.Node) *fault.Target {
+	if n.ID < len(o.targets) {
+		return o.targets[n.ID]
+	}
+	return nil
+}
+
 // up reports whether the node is currently up per opts.
 func (o *ReliableOptions) up(n *node.Node) bool {
-	t, ok := o.Faults[n.ID]
-	return !ok || t.Up()
+	t := o.target(n)
+	return t == nil || t.Up()
 }
 
 // epoch returns the node's failure epoch (0 for fault-free nodes).
 func (o *ReliableOptions) epoch(n *node.Node) uint64 {
-	if t, ok := o.Faults[n.ID]; ok {
+	if t := o.target(n); t != nil {
 		return t.Epoch()
 	}
 	return 0

@@ -15,7 +15,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -54,17 +53,27 @@ type Network struct {
 
 	active map[*Flow]struct{}
 
-	// spt caches the shortest-path tree per source; invalidated whenever
-	// the topology changes. Routing is latency-static, so caching is exact.
-	spt map[int]*spTree
+	// spt caches the shortest-path tree per source vertex (nil until the
+	// first query from it); every entry is dropped whenever the topology
+	// changes. Routing is latency-static, so caching is exact.
+	spt []*spTree
+	// pq is Dijkstra's heap, kept between runs so trees after the first
+	// reuse its backing array.
+	pq nodeHeap
 
 	// Transfers counts completed Transfer flows; Messages counts Message
 	// sends.
 	Transfers, Messages int64
 }
 
+// spTree is the latency-shortest-path tree from one source. For each
+// vertex v it holds the path latency dist[v] (+Inf if unreachable), the
+// minimum link capacity bn[v] along the tree path (+Inf at the source, 0
+// if unreachable) and the incoming tree link prev[v], so every route
+// query from the source is an array read.
 type spTree struct {
 	dist []float64
+	bn   []float64
 	prev []*Link
 }
 
@@ -77,7 +86,7 @@ func New(k *sim.Kernel, n int) *Network {
 		k:      k,
 		adj:    make([][]*Link, n),
 		active: make(map[*Flow]struct{}),
-		spt:    make(map[int]*spTree),
+		spt:    make([]*spTree, n),
 	}
 }
 
@@ -94,6 +103,7 @@ func (n *Network) NumLinks() int { return len(n.links) }
 func (n *Network) AddNode() int {
 	n.adj = append(n.adj, nil)
 	clear(n.spt)
+	n.spt = append(n.spt, nil)
 	return len(n.adj) - 1
 }
 
@@ -151,27 +161,42 @@ func (n *Network) checkNode(id int) {
 	}
 }
 
+// checkPair range-checks both ends of a route query.
+func (n *Network) checkPair(a, b int) {
+	n.checkNode(a)
+	n.checkNode(b)
+}
+
+// tree returns the cached shortest-path tree rooted at src, running
+// Dijkstra on the first query from src after a topology change. Every
+// later query from src is an array read.
+func (n *Network) tree(src int) *spTree {
+	t := n.spt[src]
+	if t == nil {
+		t = n.dijkstra(src)
+		n.spt[src] = t
+	}
+	return t
+}
+
+func unreachable(a, b int) error {
+	return fmt.Errorf("netsim: node %d unreachable from %d", b, a)
+}
+
 // Path returns the minimum-latency link path from a to b, or an error if b
 // is unreachable. Same-node paths are empty and nil error.
 func (n *Network) Path(a, b int) ([]*Link, error) {
-	n.checkNode(a)
-	n.checkNode(b)
+	n.checkPair(a, b)
 	if a == b {
 		return nil, nil
 	}
-	tree, ok := n.spt[a]
-	if !ok {
-		dist, prev := n.dijkstra(a)
-		tree = &spTree{dist: dist, prev: prev}
-		n.spt[a] = tree
-	}
-	dist, prev := tree.dist, tree.prev
-	if math.IsInf(dist[b], 1) {
-		return nil, fmt.Errorf("netsim: node %d unreachable from %d", b, a)
+	t := n.tree(a)
+	if math.IsInf(t.dist[b], 1) {
+		return nil, unreachable(a, b)
 	}
 	var path []*Link
 	for at := b; at != a; {
-		l := prev[at]
+		l := t.prev[at]
 		path = append(path, l)
 		at = l.From
 	}
@@ -185,14 +210,11 @@ func (n *Network) Path(a, b int) ([]*Link, error) {
 // Latency returns the one-way minimum propagation latency from a to b, or
 // +Inf if unreachable.
 func (n *Network) Latency(a, b int) float64 {
+	n.checkPair(a, b)
 	if a == b {
 		return 0
 	}
-	path, err := n.Path(a, b)
-	if err != nil {
-		return math.Inf(1)
-	}
-	return pathLatency(path)
+	return n.tree(a).dist[b]
 }
 
 // RTT returns the round-trip latency between a and b.
@@ -203,20 +225,11 @@ func (n *Network) RTT(a, b int) float64 {
 // Bottleneck returns the minimum link capacity along the minimum-latency
 // path from a to b, +Inf for a == b, and 0 if unreachable.
 func (n *Network) Bottleneck(a, b int) float64 {
+	n.checkPair(a, b)
 	if a == b {
 		return math.Inf(1)
 	}
-	path, err := n.Path(a, b)
-	if err != nil {
-		return 0
-	}
-	bn := math.Inf(1)
-	for _, l := range path {
-		if l.Capacity < bn {
-			bn = l.Capacity
-		}
-	}
-	return bn
+	return n.tree(a).bn[b]
 }
 
 func pathLatency(path []*Link) float64 {
@@ -227,31 +240,43 @@ func pathLatency(path []*Link) float64 {
 	return sum
 }
 
-// dijkstra computes latency-shortest paths from src, returning the distance
-// array and the incoming link for each reached vertex.
-func (n *Network) dijkstra(src int) ([]float64, []*Link) {
-	dist := make([]float64, len(n.adj))
-	prev := make([]*Link, len(n.adj))
-	for i := range dist {
-		dist[i] = math.Inf(1)
+// dijkstra computes the latency-shortest-path tree from src. A vertex's
+// incoming tree link is final once the vertex settles, and that link's
+// From settled earlier, so the bottleneck is filled in settle order.
+// Weights are non-negative, so dist[v] is the same left-to-right sum
+// pathLatency takes over Path(src, v), bit for bit.
+func (n *Network) dijkstra(src int) *spTree {
+	t := &spTree{
+		dist: make([]float64, len(n.adj)),
+		bn:   make([]float64, len(n.adj)),
+		prev: make([]*Link, len(n.adj)),
 	}
-	dist[src] = 0
-	pq := &nodeHeap{{src, 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(nodeDist)
-		if it.d > dist[it.id] {
+	for i := range t.dist {
+		t.dist[i] = math.Inf(1)
+	}
+	t.dist[src] = 0
+	t.bn[src] = math.Inf(1)
+	pq := n.pq[:0]
+	pq.push(nodeDist{src, 0})
+	for len(pq) > 0 {
+		it := pq.pop()
+		if it.d > t.dist[it.id] {
 			continue
+		}
+		if l := t.prev[it.id]; l != nil {
+			t.bn[it.id] = min(t.bn[l.From], l.Capacity)
 		}
 		for _, l := range n.adj[it.id] {
 			nd := it.d + l.Latency
-			if nd < dist[l.To] {
-				dist[l.To] = nd
-				prev[l.To] = l
-				heap.Push(pq, nodeDist{l.To, nd})
+			if nd < t.dist[l.To] {
+				t.dist[l.To] = nd
+				t.prev[l.To] = l
+				pq.push(nodeDist{l.To, nd})
 			}
 		}
 	}
-	return dist, prev
+	n.pq = pq
+	return t
 }
 
 type nodeDist struct {
@@ -259,69 +284,122 @@ type nodeDist struct {
 	d  float64
 }
 
+// nodeHeap is a binary min-heap on d. push and pop sift exactly as
+// container/heap does, so equal-distance vertices settle in the same
+// order and ties resolve to the same tree links.
 type nodeHeap []nodeDist
 
-func (h nodeHeap) Len() int           { return len(h) }
-func (h nodeHeap) Less(i, j int) bool { return h[i].d < h[j].d }
-func (h nodeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x any)        { *h = append(*h, x.(nodeDist)) }
-func (h *nodeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+func (h *nodeHeap) push(x nodeDist) {
+	q := append(*h, x)
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !(q[j].d < q[i].d) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+	*h = q
+}
+
+func (h *nodeHeap) pop() nodeDist {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].d < q[j].d {
+			j = j2
+		}
+		if !(q[j].d < q[i].d) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
+}
+
+// Reach reports, for every vertex, whether src reaches it (out) and
+// whether it reaches src (in): one forward and one reverse traversal,
+// linear in the topology. It ignores latency and leaves the route cache
+// untouched, so a connectivity check costs no shortest-path trees.
+func (n *Network) Reach(src int) (out, in []bool) {
+	n.checkNode(src)
+	fwd := make([][]int, len(n.adj))
+	rev := make([][]int, len(n.adj))
+	for _, l := range n.links {
+		fwd[l.From] = append(fwd[l.From], l.To)
+		rev[l.To] = append(rev[l.To], l.From)
+	}
+	return flood(src, fwd), flood(src, rev)
+}
+
+// flood marks every vertex reachable from src over adj.
+func flood(src int, adj [][]int) []bool {
+	seen := make([]bool, len(adj))
+	seen[src] = true
+	stack := []int{src}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, w := range adj[v] {
+			if !seen[w] {
+				seen[w] = true
+				stack = append(stack, w)
+			}
+		}
+	}
+	return seen
 }
 
 // Message schedules fn after the uncontended delivery time of a size-byte
 // message from a to b: path propagation plus size/bottleneck transmission.
-// It panics if b is unreachable (callers route over connected topologies).
+// It charges size to BytesCarried on every link of Path(a, b), walking
+// the cached tree rather than building the path. It panics if b is
+// unreachable (callers route over connected topologies).
 func (n *Network) Message(a, b int, size float64, fn func()) {
 	if size < 0 {
 		panic(fmt.Sprintf("netsim: negative message size %v", size))
 	}
+	n.checkPair(a, b)
 	n.Messages++
 	if a == b {
 		n.k.After(0, fn)
 		return
 	}
-	path, err := n.Path(a, b)
-	if err != nil {
-		panic(err)
+	t := n.tree(a)
+	if math.IsInf(t.dist[b], 1) {
+		panic(unreachable(a, b))
 	}
-	d := pathLatency(path)
-	bn := math.Inf(1)
-	for _, l := range path {
-		if l.Capacity < bn {
-			bn = l.Capacity
-		}
+	for at := b; at != a; {
+		l := t.prev[at]
 		l.BytesCarried += size
+		at = l.From
 	}
-	if size > 0 && !math.IsInf(bn, 1) {
-		d += size / bn
-	}
-	n.k.After(d, fn)
+	n.k.After(t.messageTime(b, size), fn)
 }
 
 // MessageTime returns the uncontended delivery time Message would use,
 // without sending anything. It returns +Inf if unreachable.
 func (n *Network) MessageTime(a, b int, size float64) float64 {
+	n.checkPair(a, b)
 	if a == b {
 		return 0
 	}
-	path, err := n.Path(a, b)
-	if err != nil {
-		return math.Inf(1)
-	}
-	d := pathLatency(path)
-	bn := math.Inf(1)
-	for _, l := range path {
-		if l.Capacity < bn {
-			bn = l.Capacity
-		}
-	}
-	if size > 0 && !math.IsInf(bn, 1) {
-		d += size / bn
+	return n.tree(a).messageTime(b, size)
+}
+
+// messageTime is propagation plus size/bottleneck to b, +Inf if b is
+// unreachable from the tree's source.
+func (t *spTree) messageTime(b int, size float64) float64 {
+	d := t.dist[b]
+	if size > 0 && !math.IsInf(d, 1) {
+		d += size / t.bn[b]
 	}
 	return d
 }

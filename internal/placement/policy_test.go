@@ -273,3 +273,29 @@ func TestParetoFrontDuplicates(t *testing.T) {
 		t.Fatalf("identical points should both survive, got %v", front)
 	}
 }
+
+// TestGreedyLatencySelectAllocationFree gates the placement hot path: on
+// a 1,000-node env whose routes from the origin are cached, scoring every
+// candidate allocates nothing.
+func TestGreedyLatencySelectAllocationFree(t *testing.T) {
+	k := sim.NewKernel()
+	net, hub, leaves := netsim.Star(k, netsim.StarSpec{Leaves: 999, LeafLatency: 0.002, LeafCapacity: 1e8})
+	env := &Env{Net: net}
+	for _, v := range append([]int{hub}, leaves...) {
+		env.Nodes = append(env.Nodes, node.New(k, v, node.Spec{
+			Name: "n", Class: node.Fog, Cores: 1 + v%8, CoreFlops: 1e9 * float64(1+v%5),
+			MemBytes: 1 << 30, IdleWatts: 1, ActiveWattsCore: 2,
+		}))
+	}
+	req := Request{
+		Task:   &task.Task{Name: "t", ScalarWork: 1e9, Inputs: []task.DataRef{{Name: "in", Bytes: 1e5}}},
+		Origin: leaves[0],
+	}
+	pol := GreedyLatency{}
+	if pol.Select(env, req) == nil {
+		t.Fatal("nil selection")
+	}
+	if allocs := testing.AllocsPerRun(50, func() { pol.Select(env, req) }); allocs != 0 {
+		t.Fatalf("GreedyLatency.Select: %v allocs/op over 1,000 nodes, want 0", allocs)
+	}
+}

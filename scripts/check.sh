@@ -34,6 +34,11 @@ echo "== wire bench smoke =="
 # compiling or panics without paying for a full measurement run.
 go test -run '^$' -bench 'BenchmarkWire' -benchtime=1x ./internal/wire
 
+echo "== simulator bench smoke =="
+# One iteration of the simulator hot-path benchmarks (route queries,
+# placement scoring, the engine dispatch loop), for the same reason.
+go test -run '^$' -bench 'BenchmarkNetsim|BenchmarkGreedyLatencySelect|BenchmarkEngineOverhead' -benchtime=1x .
+
 echo "== fuzz smoke =="
 # The wire frame decoder reads bytes straight off the network: ten
 # seconds of fuzzing on top of the committed seed corpus must find no
