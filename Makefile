@@ -93,11 +93,14 @@ federation-smoke:
 	go test -race -count=1 -run 'TestE2EFederationChurnNoRequestLost' .
 	go test -race -count=1 -run 'TestLiveRouterChurnZeroLost' ./internal/scenario
 
-# Fuzz smoke: ten seconds of coverage-guided fuzzing of the wire frame
-# decoder on top of its committed seed corpus — decode must never panic
-# and must round-trip whatever it accepts (also part of `make check`).
+# Fuzz smoke: ten seconds each of coverage-guided fuzzing on top of the
+# committed seed corpora — the wire frame decoder must never panic and
+# must round-trip whatever it accepts, and GreedyLatency's bounded walk
+# must pick the same node as scoring every candidate (also part of
+# `make check`).
 fuzz-smoke:
 	go test -run '^$$' -fuzz 'FuzzDecodeFrame' -fuzztime 10s ./internal/wire
+	go test -run '^$$' -fuzz 'FuzzGreedyLatencySelect' -fuzztime 10s ./internal/placement
 
 # Scale harness: generate a 1000-node scenario, validate it, and run it
 # through the simulator inside a generous CI-safe wall-clock budget.

@@ -57,12 +57,7 @@ type engineGroupResult struct {
 }
 
 type engineReport struct {
-	Commit     string `json:"commit"`
-	GoVersion  string `json:"go_version"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	CPUs       int    `json:"cpus"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
+	benchStamp
 
 	Kernel []engineKernelPoint `json:"kernel"`
 	// HeadlineSpeedup is calendar over the seed-era baseline kernel at
@@ -272,11 +267,7 @@ func runEngineBench(quick bool, out string, gate bool, floor float64) error {
 		engineNodes = 64
 	}
 
-	rep := &engineReport{
-		Commit: commitStamp(), GoVersion: runtime.Version(),
-		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
-		CPUs: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
+	rep := &engineReport{benchStamp: newStamp()}
 	for _, pending := range populations {
 		p := engineKernelPoint{Pending: pending, Events: events}
 		p.CalendarEvPerSec, p.AllocsPerEvent = measureKernel(sim.QueueCalendar, pending, events)

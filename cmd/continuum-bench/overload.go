@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -48,9 +47,7 @@ type overloadMode struct {
 }
 
 type overloadReport struct {
-	GOOS     string         `json:"goos"`
-	GOARCH   string         `json:"goarch"`
-	CPUs     int            `json:"cpus"`
+	benchStamp
 	Capacity int            `json:"capacity"`
 	Workers  int            `json:"workers"`
 	WorkMS   float64        `json:"work_ms"`
@@ -66,8 +63,8 @@ type overloadReport struct {
 // uncontrolled goodput — the claim the overload-smoke CI target pins.
 func runOverloadBench(dur time.Duration, out string, gate bool) error {
 	rep := &overloadReport{
-		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, CPUs: runtime.NumCPU(),
-		Capacity: overloadCapacity, Workers: overloadWorkers,
+		benchStamp: newStamp(),
+		Capacity:   overloadCapacity, Workers: overloadWorkers,
 		WorkMS: float64(overloadWork) / 1e6, SLOMS: float64(overloadSLO) / 1e6,
 	}
 	for _, admission := range []bool{false, true} {

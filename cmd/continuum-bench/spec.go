@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -54,9 +53,7 @@ type specLiveRun struct {
 }
 
 type specReport struct {
-	GOOS   string `json:"goos"`
-	GOARCH string `json:"goarch"`
-	CPUs   int    `json:"cpus"`
+	benchStamp
 
 	SimSlowdown float64      `json:"sim_slowdown"`
 	Sim         []specSimRun `json:"sim"`
@@ -213,10 +210,7 @@ func specLive(addrs []string, n, concurrency int, hedge wire.HedgeConfig) (specL
 // runSpecBench produces BENCH_speculation.json: the simulated F11
 // distillation plus the live hedged-vs-unhedged comparison.
 func runSpecBench(n int, out string) error {
-	rep := &specReport{
-		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, CPUs: runtime.NumCPU(),
-		SimSlowdown: 10, LiveConcurrency: 16,
-	}
+	rep := &specReport{benchStamp: newStamp(), SimSlowdown: 10, LiveConcurrency: 16}
 
 	rep.Sim = specSim(rep.SimSlowdown)
 	rep.SimP99Speedup = rep.Sim[0].P99Seconds / rep.Sim[1].P99Seconds

@@ -32,12 +32,7 @@ type wireResult struct {
 }
 
 type wireReport struct {
-	Commit       string       `json:"commit"`
-	GoVersion    string       `json:"go_version"`
-	GOOS         string       `json:"goos"`
-	GOARCH       string       `json:"goarch"`
-	CPUs         int          `json:"cpus"`
-	GOMAXPROCS   int          `json:"gomaxprocs"`
+	benchStamp
 	PayloadBytes int          `json:"payload_bytes"`
 	Results      []wireResult `json:"results"`
 
@@ -48,6 +43,27 @@ type wireReport struct {
 	// FrameBytes64K is the wire size of one 64 KiB invoke request:
 	// payload bytes ride raw, so the overhead is the header and fields.
 	FrameBytes64K int `json:"frame_bytes_64k"`
+}
+
+// benchStamp identifies what produced a BENCH_*.json record: the
+// source, the toolchain and the host's parallelism. Reports embed it, so
+// its fields lead each record.
+type benchStamp struct {
+	Commit     string `json:"commit"`
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	CPUs       int    `json:"cpus"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+// newStamp stamps a record produced by this process.
+func newStamp() benchStamp {
+	return benchStamp{
+		Commit: commitStamp(), GoVersion: runtime.Version(),
+		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
+		CPUs: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+	}
 }
 
 // commitStamp names the source the benchmark ran from: the VCS
@@ -103,12 +119,7 @@ func runWireBench(calls, payload, concurrency int, out string) error {
 	addr := lis.Addr().String()
 
 	body := bytes.Repeat([]byte{'x'}, payload)
-	rep := &wireReport{
-		Commit: commitStamp(), GoVersion: runtime.Version(),
-		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
-		CPUs: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
-		PayloadBytes: payload,
-	}
+	rep := &wireReport{benchStamp: newStamp(), PayloadBytes: payload}
 	scenarios := []struct {
 		name        string
 		concurrency int

@@ -41,13 +41,9 @@ type engine struct {
 	// per-dispatch epoch lookups (three per attempt) entirely.
 	hasFaults bool
 
-	// Per-dispatch scratch, reused across attempts. The kernel is
-	// single-threaded and policies consume their Env synchronously
-	// without retaining it, so one buffer per purpose suffices — the
-	// steady-state dispatch path allocates nothing.
-	liveScratch   []*node.Node
-	backupScratch []*node.Node
-	envScratch    placement.Env
+	// exclude is the straggling primary while a stream run picks its
+	// backup replica, nil otherwise: the run's placement Env rejects it.
+	exclude *node.Node
 }
 
 // defaultRetryBackoff paces re-dispatch when ReliableOptions leaves
@@ -378,10 +374,18 @@ func (c *Continuum) runStream(pol placement.Policy, jobs []StreamJob, candidates
 	}
 	e := newEngine(c, opts)
 	e.fb, _ = pol.(placement.FeedbackPolicy)
+	// Each job records five events (dispatch, stage start and end, task
+	// start and end); an eighth more covers retries and failures.
+	c.Tracer.Grow(5 * len(jobs) * 9 / 8)
 
-	// Without faults every candidate is always live: build the placement
-	// env once and keep it off the per-job hot path.
-	staticEnv := &placement.Env{Net: c.Net, Nodes: candidates, Fabric: c.Fabric}
+	// One placement env serves the whole run, so policies keep their
+	// per-env caches across jobs. When nodes can fail or be cordoned, or
+	// a backup must avoid its primary, Eligible filters each decision;
+	// otherwise every candidate is always eligible.
+	env := &placement.Env{Net: c.Net, Nodes: candidates, Fabric: c.Fabric}
+	if e.hasFaults || e.opts.Cordoned != nil || e.opts.Speculate.enabled() {
+		env.Eligible = func(n *node.Node) bool { return n != e.exclude && e.opts.eligible(n) }
+	}
 
 	// outstanding is the admission controller's state: jobs admitted at
 	// submit time and not yet completed or lost. The kernel is
@@ -396,24 +400,13 @@ func (c *Continuum) runStream(pol placement.Policy, jobs []StreamJob, candidates
 	var attempt func(j StreamJob, retriesLeft int, seq *int)
 	attempt = func(j StreamJob, retriesLeft int, seq *int) {
 		again := func() { attempt(j, retriesLeft-1, seq) }
-		env := staticEnv
-		if e.hasFaults || e.opts.Cordoned != nil {
-			live := e.liveScratch[:0]
-			for _, n := range candidates {
-				if e.opts.eligible(n) {
-					live = append(live, n)
-				}
-			}
-			e.liveScratch = live
-			if len(live) == 0 {
-				e.retry(retriesLeft, again, release)
-				return
-			}
-			e.envScratch = placement.Env{Net: c.Net, Nodes: live, Fabric: c.Fabric}
-			env = &e.envScratch
-		}
 		req := placement.Request{Task: j.Task, Origin: j.Origin}
 		n := pol.Select(env, req)
+		if n == nil {
+			// No candidate is eligible: wait out the downtime.
+			e.retry(retriesLeft, again, release)
+			return
+		}
 		// mk binds a replica's delivery path to the node that actually runs
 		// it — under speculation a backup executes (and replies from) a
 		// different node than the primary.
@@ -443,18 +436,10 @@ func (c *Continuum) runStream(pol placement.Policy, jobs []StreamJob, candidates
 		// are still eligible (up, not cordoned) at hedge time, with the
 		// straggling primary excluded.
 		e.speculate(mk, n, seq, func() *node.Node {
-			rest := e.backupScratch[:0]
-			for _, cn := range candidates {
-				if cn != n && e.opts.eligible(cn) {
-					rest = append(rest, cn)
-				}
-			}
-			e.backupScratch = rest
-			if len(rest) == 0 {
-				return nil
-			}
-			e.envScratch = placement.Env{Net: c.Net, Nodes: rest, Fabric: c.Fabric}
-			return pol.Select(&e.envScratch, req)
+			e.exclude = n
+			backup := pol.Select(env, req)
+			e.exclude = nil
+			return backup
 		})
 	}
 

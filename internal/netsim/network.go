@@ -54,9 +54,13 @@ type Network struct {
 	active map[*Flow]struct{}
 
 	// spt caches the shortest-path tree per source vertex (nil until the
-	// first query from it); every entry is dropped whenever the topology
-	// changes. Routing is latency-static, so caching is exact.
+	// first query from it). A tree built before the latest topology change
+	// is stale and is refilled in place on its next query. Routing is
+	// latency-static between changes, so caching is exact.
 	spt []*spTree
+	// version counts topology changes: vertices, links and link
+	// parameters. A tree is current when its version equals this one.
+	version uint64
 	// pq is Dijkstra's heap, kept between runs so trees after the first
 	// reuse its backing array.
 	pq nodeHeap
@@ -72,9 +76,10 @@ type Network struct {
 // if unreachable) and the incoming tree link prev[v], so every route
 // query from the source is an array read.
 type spTree struct {
-	dist []float64
-	bn   []float64
-	prev []*Link
+	dist    []float64
+	bn      []float64
+	prev    []*Link
+	version uint64 // Network.version the tree was filled at
 }
 
 // New creates a network with n nodes and no links.
@@ -96,14 +101,20 @@ func (n *Network) Kernel() *sim.Kernel { return n.k }
 // NumNodes returns the number of topology vertices.
 func (n *Network) NumNodes() int { return len(n.adj) }
 
+// Version identifies the routing state: it changes whenever a vertex or
+// link is added or a link is retuned, and only then. A caller holding
+// values derived from route queries (latencies, bottlenecks, message
+// times) can keep them while Version is unchanged.
+func (n *Network) Version() uint64 { return n.version }
+
 // NumLinks returns the number of directed links.
 func (n *Network) NumLinks() int { return len(n.links) }
 
 // AddNode appends a vertex and returns its id.
 func (n *Network) AddNode() int {
 	n.adj = append(n.adj, nil)
-	clear(n.spt)
 	n.spt = append(n.spt, nil)
+	n.version++
 	return len(n.adj) - 1
 }
 
@@ -125,7 +136,7 @@ func (n *Network) AddLink(from, to int, latency, capacity float64) *Link {
 	}
 	n.links = append(n.links, l)
 	n.adj[from] = append(n.adj[from], l)
-	clear(n.spt)
+	n.version++
 	return l
 }
 
@@ -139,10 +150,11 @@ func (n *Network) AddDuplexLink(a, b int, latency, capacity float64) (ab, ba *Li
 func (n *Network) Links() []*Link { return n.links }
 
 // SetLinkParams retunes a link's latency and capacity mid-simulation
-// (scenario link-degradation events). Routing is latency-based, so the
-// shortest-path cache is invalidated; flows already crossing the link
-// keep their negotiated rates until the next flow event recomputes them,
-// matching how a real router change affects in-flight traffic.
+// (scenario link-degradation events). Routing is latency-based, so every
+// cached shortest-path tree goes stale and is refilled in place on its
+// next query; flows already crossing the link keep their negotiated
+// rates until the next flow event recomputes them, matching how a real
+// router change affects in-flight traffic.
 func (n *Network) SetLinkParams(l *Link, latency, capacity float64) {
 	if latency < 0 {
 		panic(fmt.Sprintf("netsim: negative latency %v", latency))
@@ -152,7 +164,7 @@ func (n *Network) SetLinkParams(l *Link, latency, capacity float64) {
 	}
 	l.Latency = latency
 	l.Capacity = capacity
-	clear(n.spt)
+	n.version++
 }
 
 func (n *Network) checkNode(id int) {
@@ -173,8 +185,11 @@ func (n *Network) checkPair(a, b int) {
 func (n *Network) tree(src int) *spTree {
 	t := n.spt[src]
 	if t == nil {
-		t = n.dijkstra(src)
+		t = &spTree{}
 		n.spt[src] = t
+	}
+	if t.dist == nil || t.version != n.version {
+		n.dijkstra(src, t)
 	}
 	return t
 }
@@ -240,17 +255,22 @@ func pathLatency(path []*Link) float64 {
 	return sum
 }
 
-// dijkstra computes the latency-shortest-path tree from src. A vertex's
-// incoming tree link is final once the vertex settles, and that link's
-// From settled earlier, so the bottleneck is filled in settle order.
-// Weights are non-negative, so dist[v] is the same left-to-right sum
-// pathLatency takes over Path(src, v), bit for bit.
-func (n *Network) dijkstra(src int) *spTree {
-	t := &spTree{
-		dist: make([]float64, len(n.adj)),
-		bn:   make([]float64, len(n.adj)),
-		prev: make([]*Link, len(n.adj)),
+// dijkstra fills t with the latency-shortest-path tree from src, reusing
+// its arrays unless the vertex count changed. A vertex's incoming tree
+// link is final once the vertex settles, and that link's From settled
+// earlier, so the bottleneck is filled in settle order. Weights are
+// non-negative, so dist[v] is the same left-to-right sum pathLatency
+// takes over Path(src, v), bit for bit.
+func (n *Network) dijkstra(src int, t *spTree) {
+	if len(t.dist) != len(n.adj) {
+		t.dist = make([]float64, len(n.adj))
+		t.bn = make([]float64, len(n.adj))
+		t.prev = make([]*Link, len(n.adj))
+	} else {
+		clear(t.bn)
+		clear(t.prev)
 	}
+	t.version = n.version
 	for i := range t.dist {
 		t.dist[i] = math.Inf(1)
 	}
@@ -276,7 +296,6 @@ func (n *Network) dijkstra(src int) *spTree {
 		}
 	}
 	n.pq = pq
-	return t
 }
 
 type nodeDist struct {
@@ -392,6 +411,20 @@ func (n *Network) MessageTime(a, b int, size float64) float64 {
 		return 0
 	}
 	return n.tree(a).messageTime(b, size)
+}
+
+// MessageTimes appends to dst[:0] the MessageTime of a size-byte message
+// from src to every vertex, indexed by vertex, and returns it: one tree
+// lookup for a caller that needs them all.
+func (n *Network) MessageTimes(src int, size float64, dst []float64) []float64 {
+	n.checkNode(src)
+	t := n.tree(src)
+	dst = dst[:0]
+	for v := range t.dist {
+		dst = append(dst, t.messageTime(v, size))
+	}
+	dst[src] = 0 // MessageTime's same-vertex case
+	return dst
 }
 
 // messageTime is propagation plus size/bottleneck to b, +Inf if b is

@@ -67,6 +67,7 @@ func checkRoutes(t *testing.T, n *Network) {
 	fw := floydWarshall(n)
 	const size = 12345.0
 	for a := 0; a < n.NumNodes(); a++ {
+		mts, lats := n.MessageTimes(a, size, nil), n.MessageTimes(a, 0, nil)
 		for b := 0; b < n.NumNodes(); b++ {
 			path, err := n.Path(a, b)
 			lat, bn := 0.0, math.Inf(1)
@@ -103,6 +104,9 @@ func checkRoutes(t *testing.T, n *Network) {
 			}
 			if got := n.MessageTime(a, b, 0); got != lat {
 				t.Fatalf("%d->%d: zero-size MessageTime %v, path sum %v", a, b, got, lat)
+			}
+			if mts[b] != mt || lats[b] != lat {
+				t.Fatalf("%d->%d: MessageTimes %v and %v (zero size), want %v and %v", a, b, mts[b], lats[b], mt, lat)
 			}
 			want := fw[a][b]
 			if math.IsInf(want, 1) != math.IsInf(lat, 1) ||
@@ -249,11 +253,13 @@ func TestNodeHeapMatchesContainerHeap(t *testing.T) {
 
 // TestRouteQueriesAllocationFree gates the route cache: once a source's
 // tree exists, queries from it and Message with a static callback
-// allocate nothing.
+// allocate nothing, and neither does refilling that tree after a link
+// retune.
 func TestRouteQueriesAllocationFree(t *testing.T) {
 	k := sim.NewKernel()
 	n, _, leaves := Star(k, StarSpec{Leaves: 64, LeafLatency: 0.001, LeafCapacity: 1e9})
 	a, b := leaves[3], leaves[40]
+	l := n.Links()[0]
 	n.Latency(a, b) // build the tree from a
 	noop := func() {}
 	n.Message(a, b, 1e3, noop)
@@ -265,6 +271,10 @@ func TestRouteQueriesAllocationFree(t *testing.T) {
 		"Message": func() {
 			n.Message(a, b, 1e3, noop)
 			k.Run()
+		},
+		"Latency after SetLinkParams": func() {
+			n.SetLinkParams(l, 0.002, 1e9)
+			n.Latency(a, b)
 		},
 	}
 	for name, fn := range cases {

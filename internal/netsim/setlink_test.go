@@ -56,3 +56,28 @@ func TestSetLinkParamsPanicsOnBadValues(t *testing.T) {
 		}()
 	}
 }
+
+// TestVersionTracksTopologyChanges: Version moves on every vertex, link
+// and retune, and on nothing else, so values derived from route queries
+// can be cached against it.
+func TestVersionTracksTopologyChanges(t *testing.T) {
+	k := sim.NewKernel()
+	n := New(k, 2)
+	v := n.Version()
+	step := func(what string, fn func(), moves bool) {
+		t.Helper()
+		fn()
+		if got := n.Version(); (got != v) != moves {
+			t.Fatalf("%s: version %d -> %d, want moved=%v", what, v, got, moves)
+		}
+		v = n.Version()
+	}
+	var l *Link
+	step("AddLink", func() { l, _ = n.AddDuplexLink(0, 1, 0.001, 1e9) }, true)
+	step("queries", func() { n.Latency(0, 1); n.MessageTime(1, 0, 1e3); n.Reach(0) }, false)
+	step("AddNode", func() { n.AddNode() }, true)
+	step("SetLinkParams", func() { n.SetLinkParams(l, 0.002, 1e8) }, true)
+	if lat := n.Latency(0, 1); lat != 0.002 {
+		t.Fatalf("latency after retune %v, want 0.002 from the refilled tree", lat)
+	}
+}

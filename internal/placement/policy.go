@@ -26,13 +26,41 @@ import (
 	"continuum/internal/workload"
 )
 
-// Env is the continuum view a policy sees when deciding.
+// Env is the continuum view a policy sees when deciding. Policies keep
+// per-Env caches (see GreedyLatency), so an Env is not safe for
+// concurrent use, node specs must not change while it is in use, and a
+// caller that changes the candidate set assigns a new Nodes slice rather
+// than rewriting the old one in place.
 type Env struct {
 	Net   *netsim.Network
 	Nodes []*node.Node
 	// Fabric is optional; when present, data-aware policies use replica
 	// locations for staging estimates.
 	Fabric *data.Fabric
+	// Eligible, when set, is consulted at every decision: policies only
+	// choose nodes it accepts (up, not cordoned, not the straggler a
+	// backup replica must avoid). Nil accepts every node.
+	Eligible func(*node.Node) bool
+
+	cands  []*node.Node // Candidates' scratch
+	orders *orderCache  // GreedyLatency's lower-bound orders
+}
+
+// Candidates returns the nodes a policy may choose from right now: Nodes
+// filtered by Eligible, in Nodes order. With Eligible nil it is Nodes
+// itself; otherwise it is scratch owned by env, valid until the next call.
+func (env *Env) Candidates() []*node.Node {
+	if env.Eligible == nil {
+		return env.Nodes
+	}
+	out := env.cands[:0]
+	for _, n := range env.Nodes {
+		if env.Eligible(n) {
+			out = append(out, n)
+		}
+	}
+	env.cands = out
+	return out
 }
 
 // Request is one task to place, originating (its input data, its caller)
@@ -42,9 +70,10 @@ type Request struct {
 	Origin int
 }
 
-// Policy selects a node for each request. Implementations must be
-// deterministic given their construction parameters (randomized policies
-// take an explicit RNG).
+// Policy selects a node for each request from env.Candidates(), or
+// returns nil when there is none. Implementations must be deterministic
+// given their construction parameters (randomized policies take an
+// explicit RNG).
 type Policy interface {
 	Name() string
 	Select(env *Env, req Request) *node.Node
@@ -62,25 +91,36 @@ func inputBytes(t *task.Task) float64 {
 // EstimateLatency returns the estimated completion time for req on n:
 // input movement (from the fabric's nearest replicas when available,
 // otherwise from the request origin) + queue wait + execution.
+//
+// Without a fabric, move + exec is a lower bound that ignores load: the
+// score at zero backlog. The wait term is backlog × exec / cores, which
+// is >= 0 whenever exec >= 0 and cores >= 1, and IEEE addition is
+// monotone, so (move + wait) + exec >= move + exec holds bit for bit.
+// GreedyLatency walks nodes in order of that bound and stops once the
+// bound passes the best score seen (see order.go).
 func EstimateLatency(env *Env, req Request, n *node.Node) float64 {
-	move := 0.0
-	if env.Fabric != nil && len(req.Task.Inputs) > 0 {
-		for _, in := range req.Task.Inputs {
-			st := env.Fabric.StageTime(data.Dataset{Name: in.Name, Bytes: in.Bytes}, n.ID)
-			if math.IsInf(st, 1) {
-				// Replica unknown to the fabric: fall back to shipping
-				// from the origin.
-				st = env.Net.MessageTime(req.Origin, n.ID, in.Bytes)
-			}
-			move += st
-		}
-	} else if ib := inputBytes(req.Task); ib > 0 {
-		move = env.Net.MessageTime(req.Origin, n.ID, ib)
-	} else {
-		// Even an empty invocation pays one-way control latency.
-		move = env.Net.Latency(req.Origin, n.ID)
+	if env.Fabric == nil || len(req.Task.Inputs) == 0 {
+		// Inputs ship from the origin in one message; an empty
+		// invocation still pays one-way control latency, the
+		// MessageTime of zero bytes.
+		return completion(env.Net.MessageTime(req.Origin, n.ID, inputBytes(req.Task)), req.Task, n)
 	}
-	exec := n.ExecTime(req.Task.ScalarWork, req.Task.TensorWork, req.Task.Accel)
+	move := 0.0
+	for _, in := range req.Task.Inputs {
+		st := env.Fabric.StageTime(data.Dataset{Name: in.Name, Bytes: in.Bytes}, n.ID)
+		if math.IsInf(st, 1) {
+			// Replica unknown to the fabric: fall back to shipping
+			// from the origin.
+			st = env.Net.MessageTime(req.Origin, n.ID, in.Bytes)
+		}
+		move += st
+	}
+	return completion(move, req.Task, n)
+}
+
+// completion adds queue wait and execution to move.
+func completion(move float64, t *task.Task, n *node.Node) float64 {
+	exec := n.ExecTime(t.ScalarWork, t.TensorWork, t.Accel)
 	// Queue estimate: outstanding work ahead of us, spread over cores,
 	// approximated with this task's own execution time as the mean.
 	backlog := float64(n.Cores.InUse()) + float64(n.Cores.QueueLen())
@@ -125,6 +165,15 @@ func argmin(nodes []*node.Node, score func(*node.Node) float64) *node.Node {
 	return best
 }
 
+// lowest is argmin over cands, or nil when cands is empty (no eligible
+// node).
+func lowest(cands []*node.Node, score func(*node.Node) float64) *node.Node {
+	if len(cands) == 0 {
+		return nil
+	}
+	return argmin(cands, score)
+}
+
 // filterClass returns nodes with Class in [lo, hi]; if none match it
 // returns the input unchanged (graceful degradation beats a panic when an
 // experiment configures a tier-free continuum).
@@ -150,8 +199,8 @@ func (EdgeOnly) Name() string { return "edge-only" }
 
 // Select implements Policy.
 func (EdgeOnly) Select(env *Env, req Request) *node.Node {
-	cands := filterClass(env.Nodes, node.Sensor, node.Fog)
-	return argmin(cands, func(n *node.Node) float64 {
+	cands := filterClass(env.Candidates(), node.Sensor, node.Fog)
+	return lowest(cands, func(n *node.Node) float64 {
 		return EstimateLatency(env, req, n)
 	})
 }
@@ -165,8 +214,8 @@ func (CloudOnly) Name() string { return "cloud-only" }
 
 // Select implements Policy.
 func (CloudOnly) Select(env *Env, req Request) *node.Node {
-	cands := filterClass(env.Nodes, node.Cloud, node.HPC)
-	return argmin(cands, func(n *node.Node) float64 {
+	cands := filterClass(env.Candidates(), node.Cloud, node.HPC)
+	return lowest(cands, func(n *node.Node) float64 {
 		return EstimateLatency(env, req, n)
 	})
 }
@@ -180,7 +229,11 @@ func (Random) Name() string { return "random" }
 
 // Select implements Policy.
 func (r Random) Select(env *Env, req Request) *node.Node {
-	return env.Nodes[r.RNG.Intn(len(env.Nodes))]
+	cands := env.Candidates()
+	if len(cands) == 0 {
+		return nil
+	}
+	return cands[r.RNG.Intn(len(cands))]
 }
 
 // RoundRobin cycles through nodes: oblivious load spreading.
@@ -191,13 +244,20 @@ func (*RoundRobin) Name() string { return "round-robin" }
 
 // Select implements Policy.
 func (r *RoundRobin) Select(env *Env, req Request) *node.Node {
-	n := env.Nodes[r.next%len(env.Nodes)]
+	cands := env.Candidates()
+	if len(cands) == 0 {
+		return nil
+	}
+	n := cands[r.next%len(cands)]
 	r.next++
 	return n
 }
 
 // GreedyLatency picks the node with the lowest estimated completion time,
-// ignoring data replicas (it ships inputs from the origin).
+// ignoring data replicas (it ships inputs from the origin), ties to the
+// lower node ID. It does not score every node: it walks a per-Env cached
+// order of load-free lower bounds and stops once no unscored node can
+// win (see order.go), returning exactly what scoring them all would.
 type GreedyLatency struct{}
 
 // Name implements Policy.
@@ -205,11 +265,10 @@ func (GreedyLatency) Name() string { return "greedy-latency" }
 
 // Select implements Policy.
 func (GreedyLatency) Select(env *Env, req Request) *node.Node {
-	noFabric := *env
-	noFabric.Fabric = nil
-	return argmin(env.Nodes, func(n *node.Node) float64 {
-		return EstimateLatency(&noFabric, req, n)
-	})
+	if env.orders == nil {
+		env.orders = &orderCache{}
+	}
+	return env.orders.selectGreedy(env, req)
 }
 
 // DataAware is GreedyLatency plus replica knowledge: staging time is
@@ -223,7 +282,7 @@ func (DataAware) Name() string { return "data-aware" }
 
 // Select implements Policy.
 func (DataAware) Select(env *Env, req Request) *node.Node {
-	return argmin(env.Nodes, func(n *node.Node) float64 {
+	return lowest(env.Candidates(), func(n *node.Node) float64 {
 		return EstimateLatency(env, req, n)
 	})
 }
@@ -236,7 +295,7 @@ func (GreedyEnergy) Name() string { return "greedy-energy" }
 
 // Select implements Policy.
 func (GreedyEnergy) Select(env *Env, req Request) *node.Node {
-	return argmin(env.Nodes, func(n *node.Node) float64 {
+	return lowest(env.Candidates(), func(n *node.Node) float64 {
 		return EstimateEnergy(env, req, n)
 	})
 }
@@ -249,7 +308,7 @@ func (GreedyCost) Name() string { return "greedy-cost" }
 
 // Select implements Policy.
 func (GreedyCost) Select(env *Env, req Request) *node.Node {
-	return argmin(env.Nodes, func(n *node.Node) float64 {
+	return lowest(env.Candidates(), func(n *node.Node) float64 {
 		return EstimateDollars(env, req, n)
 	})
 }
@@ -277,11 +336,15 @@ func (m MultiObjective) Name() string {
 
 // Select implements Policy.
 func (m MultiObjective) Select(env *Env, req Request) *node.Node {
-	lat := make([]float64, len(env.Nodes))
-	eng := make([]float64, len(env.Nodes))
-	dol := make([]float64, len(env.Nodes))
+	cands := env.Candidates()
+	if len(cands) == 0 {
+		return nil
+	}
+	lat := make([]float64, len(cands))
+	eng := make([]float64, len(cands))
+	dol := make([]float64, len(cands))
 	minLat, minEng, minDol := math.Inf(1), math.Inf(1), math.Inf(1)
-	for i, n := range env.Nodes {
+	for i, n := range cands {
 		lat[i] = EstimateLatency(env, req, n)
 		eng[i] = EstimateEnergy(env, req, n)
 		dol[i] = EstimateDollars(env, req, n)
@@ -295,8 +358,8 @@ func (m MultiObjective) Select(env *Env, req Request) *node.Node {
 		}
 		return v / min
 	}
-	best, bestScore := env.Nodes[0], math.Inf(1)
-	for i, n := range env.Nodes {
+	best, bestScore := cands[0], math.Inf(1)
+	for i, n := range cands {
 		s := m.W.Latency*norm(lat[i], minLat) +
 			m.W.Energy*norm(eng[i], minEng) +
 			m.W.Dollars*norm(dol[i], minDol)

@@ -275,8 +275,9 @@ func TestParetoFrontDuplicates(t *testing.T) {
 }
 
 // TestGreedyLatencySelectAllocationFree gates the placement hot path: on
-// a 1,000-node env whose routes from the origin are cached, scoring every
-// candidate allocates nothing.
+// a 1,000-node env whose routes and bound order from the origin are
+// cached, a selection allocates nothing, with or without an Eligible
+// filter, and neither does refilling both after a link retune.
 func TestGreedyLatencySelectAllocationFree(t *testing.T) {
 	k := sim.NewKernel()
 	net, hub, leaves := netsim.Star(k, netsim.StarSpec{Leaves: 999, LeafLatency: 0.002, LeafCapacity: 1e8})
@@ -297,5 +298,29 @@ func TestGreedyLatencySelectAllocationFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, func() { pol.Select(env, req) }); allocs != 0 {
 		t.Fatalf("GreedyLatency.Select: %v allocs/op over 1,000 nodes, want 0", allocs)
+	}
+
+	// Every third node ineligible, the origin's own node among them.
+	env.Eligible = func(n *node.Node) bool { return n.ID%3 != leaves[0]%3 }
+	if n := pol.Select(env, req); n == nil || !env.Eligible(n) {
+		t.Fatalf("selected %v, which is not eligible", n)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { pol.Select(env, req) }); allocs != 0 {
+		t.Fatalf("GreedyLatency.Select with Eligible: %v allocs/op, want 0", allocs)
+	}
+
+	// A retune bumps the network version: the route tree and the bound
+	// order both refill in place.
+	l := net.Links()[0]
+	lat := []float64{0.002, 0.003}
+	i := 0
+	retuned := func() {
+		i++
+		net.SetLinkParams(l, lat[i%2], 1e8)
+		pol.Select(env, req)
+	}
+	retuned()
+	if allocs := testing.AllocsPerRun(50, retuned); allocs != 0 {
+		t.Fatalf("GreedyLatency.Select after SetLinkParams: %v allocs/op, want 0", allocs)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -89,6 +90,21 @@ func (t *Tracer) RecordAttempt(time float64, kind Kind, entity, detail string, a
 		return
 	}
 	t.events = append(t.events, Event{Time: time, Kind: kind, Entity: entity, Detail: detail, Attempt: attempt})
+}
+
+// Grow reserves room for n more events, within the limit, so a caller
+// that knows about how many events a run records pays one allocation
+// instead of a chain of ever larger copies. Nil tracers ignore it.
+func (t *Tracer) Grow(n int) {
+	if t == nil {
+		return
+	}
+	if t.limit > 0 {
+		n = min(n, t.limit-len(t.events))
+	}
+	if n > 0 {
+		t.events = slices.Grow(t.events, n)
+	}
 }
 
 // Len returns the number of retained events.

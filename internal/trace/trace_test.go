@@ -239,3 +239,21 @@ func TestGanttGoldenNarrow(t *testing.T) {
 		}
 	}
 }
+
+// TestGrowReservesWithinLimit: Grow makes room without recording
+// anything, never past the tracer's limit, and a nil tracer ignores it.
+func TestGrowReservesWithinLimit(t *testing.T) {
+	tr := New(10)
+	tr.Record(0, TaskStart, "n", "")
+	tr.Grow(100)
+	if tr.Len() != 1 || cap(tr.Events()) < 10 || cap(tr.Events()) >= 100 {
+		t.Fatalf("after Grow(100) under limit 10: len %d cap %d", tr.Len(), cap(tr.Events()))
+	}
+	unbounded := New(0)
+	unbounded.Grow(1000)
+	if c := cap(unbounded.Events()); c < 1000 {
+		t.Fatalf("unbounded Grow(1000): cap %d", c)
+	}
+	var none *Tracer
+	none.Grow(10)
+}

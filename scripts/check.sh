@@ -44,6 +44,9 @@ echo "== fuzz smoke =="
 # seconds of fuzzing on top of the committed seed corpus must find no
 # panic and no input that fails to round-trip.
 go test -run '^$' -fuzz 'FuzzDecodeFrame' -fuzztime 10s ./internal/wire
+# GreedyLatency's bounded walk must return exactly the node that scoring
+# every eligible candidate returns, over random fleets and operations.
+go test -run '^$' -fuzz 'FuzzGreedyLatencySelect' -fuzztime 10s ./internal/placement
 
 echo "== chaos smoke (-race) =="
 # End-to-end reliability gate: fault injection active, one endpoint
